@@ -179,8 +179,8 @@ let apply_stream (type a) ((module L) : a Linear_sketch.impl) (t : a) updates =
 let golden_seed = 42
 let golden_count = 40
 
-let golden_bytes (F f) =
+let golden_bytes ?trace (F f) =
   let t = f.make () in
   let (module L) = f.impl in
   apply_stream f.impl t (update_stream ~count:golden_count ~dim:(L.dim t) golden_seed);
-  Linear_sketch.serialize f.impl t
+  Linear_sketch.serialize ?trace f.impl t

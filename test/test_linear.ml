@@ -167,11 +167,11 @@ let test_not_linear_guard () =
    pins the LSK1 wire format across the storage refactor.             *)
 (* ------------------------------------------------------------------ *)
 
-let test_golden name () =
+let check_fixture file bytes =
   (* dune runtest runs in _build/default/test (fixtures at golden/);
      dune exec from the root sees them at test/golden/. *)
   let path =
-    let local = Filename.concat "golden" (name ^ ".lsk1") in
+    let local = Filename.concat "golden" file in
     if Sys.file_exists local then local else Filename.concat "test" local
   in
   let ic = open_in_bin path in
@@ -179,8 +179,10 @@ let test_golden name () =
   close_in ic;
   check_string
     (Printf.sprintf "golden fixture %s reproduced byte-for-byte (kernel=%s)" path Words.kernel)
-    expected
-    (Linear_families.golden_bytes (Linear_families.find name))
+    expected bytes
+
+let test_golden name () =
+  check_fixture (name ^ ".lsk1") (Linear_families.golden_bytes (Linear_families.find name))
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
@@ -425,6 +427,11 @@ let () =
   Alcotest.run "linear_sketch"
     [
       ("golden fixtures", per_family test_golden);
+      ( "golden envelope fixtures",
+        List.map
+          (fun (file, bytes) ->
+            Alcotest.test_case file `Quick (fun () -> check_fixture file (bytes ())))
+          Golden_fixtures.all );
       ("roundtrip bytes", per_family test_roundtrip_bytes);
       ("absorb = in-process add", per_family test_absorb_equals_inprocess);
       ("clone_zero", per_family test_clone_zero_is_zero);
