@@ -291,12 +291,9 @@ let pass2_update p2 (u : Update.t) =
    pass-1 sketch counters and (b) the seed-derived structure. (b) is rebuilt
    by replaying the same PRNG chain in [resume], so the checkpoint carries
    only (a) plus enough of (n, params) to verify the caller replays the
-   chain with the same inputs. Same envelope discipline as
-   {!Linear_sketch}: magic, shape, body, trailing FNV-1a-64 checksum
-   verified before any parsing. *)
+   chain with the same inputs. A {!Ds_util.Envelope} with magic TPS1. *)
 
 let checkpoint_magic = "TPS1"
-let checksum_bytes = 8
 
 let write_params sink prm =
   Wire.write_int sink prm.k;
@@ -330,16 +327,12 @@ let read_params src =
   }
 
 let serialize_pass1 p1 =
-  let sink = Wire.sink () in
-  Wire.write_tag sink checkpoint_magic;
+  let sink = Envelope.create checkpoint_magic in
   Wire.write_int sink p1.n;
   write_params sink p1.prm;
   Wire.write_int sink p1.levels;
   Array.iter (Array.iter (Array.iter (fun sk -> Sparse_recovery.write sk sink))) p1.sketches;
-  let payload = Wire.contents sink in
-  let tail = Wire.sink () in
-  Wire.write_fixed64 tail (Wire.fnv1a64 payload);
-  payload ^ Wire.contents tail
+  Envelope.seal sink
 
 type checkpoint_error =
   | Truncated of { length : int; min_length : int }
@@ -361,35 +354,25 @@ let checkpoint_error_to_string = function
 
 let pp_checkpoint_error ppf e = Format.pp_print_string ppf (checkpoint_error_to_string e)
 
+let of_envelope : Envelope.error -> checkpoint_error = function
+  | Truncated { length; min_length } -> Truncated { length; min_length }
+  | Checksum_mismatch -> Checksum_mismatch
+  | Wrong_magic { got; _ } -> Wrong_magic { got }
+  | Malformed_body m -> Malformed_body m
+  | Trailing_bytes n -> Trailing_bytes n
+
 (* On [Error] past the header checks the destination's counters may be
    partially overwritten — callers must discard [p1] (what
    [resume_or_restart] does by recomputing pass 1 from the stream). *)
 let load_pass1_result p1 data =
-  let len = String.length data in
-  let min_length = checksum_bytes + String.length checkpoint_magic + 2 in
-  if len < min_length then Error (Truncated { length = len; min_length })
-  else begin
-    let payload_len = len - checksum_bytes in
-    let stored = ref 0L in
-    for i = checksum_bytes - 1 downto 0 do
-      stored := Int64.logor (Int64.shift_left !stored 8) (Int64.of_int (Char.code data.[payload_len + i]))
-    done;
-    if Wire.fnv1a64 ~len:payload_len data <> !stored then Error Checksum_mismatch
+  let fields src =
+    if Wire.read_int src <> p1.n then Error (Header_mismatch { field = "n" })
+    else if read_params src <> p1.prm then Error (Header_mismatch { field = "params" })
+    else if Wire.read_int src <> p1.levels then Error (Header_mismatch { field = "levels" })
     else
-      try
-        let src = Wire.source (String.sub data 0 payload_len) in
-        let magic = Wire.read_tag src in
-        if magic <> checkpoint_magic then Error (Wrong_magic { got = magic })
-        else if Wire.read_int src <> p1.n then Error (Header_mismatch { field = "n" })
-        else if read_params src <> p1.prm then Error (Header_mismatch { field = "params" })
-        else if Wire.read_int src <> p1.levels then Error (Header_mismatch { field = "levels" })
-        else begin
-          Array.iter (Array.iter (Array.iter (fun sk -> Sparse_recovery.read_into sk src))) p1.sketches;
-          match Wire.remaining src with 0 -> Ok () | k -> Error (Trailing_bytes k)
-        end
-      with Failure msg -> Error (Malformed_body msg)
-  end
-
+      Ok (Array.iter (Array.iter (Array.iter (fun sk -> Sparse_recovery.read_into sk src))) p1.sketches)
+  in
+  Result.map fst (Envelope.decode ~magic:checkpoint_magic ~error:of_envelope fields data)
 
 (* ------------------------------------------------------------------ *)
 

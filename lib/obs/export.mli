@@ -8,7 +8,7 @@ val disable : unit -> unit
 val active : unit -> bool
 
 val reset : unit -> unit
-(** Zero counters/gauges/histograms, clear spans and ledger entries.
+(** Zero counters, gauges and quantile sketches, clear spans and ledger entries.
     Registrations persist. *)
 
 val report_json : unit -> string

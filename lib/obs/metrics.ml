@@ -1,17 +1,10 @@
 let shards = 32
 let shard_mask = shards - 1
-let n_buckets = 63
 
 type counter = { c_name : string; c_cells : int Atomic.t array }
 type gauge = { g_name : string; g_cell : int Atomic.t }
 
-type histogram = {
-  h_name : string;
-  (* cells.(s) holds [n_buckets] bucket slots followed by one sum slot. *)
-  h_cells : int Atomic.t array array;
-}
-
-type metric = C of counter | G of gauge | H of histogram
+type metric = C of counter | G of gauge
 
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
@@ -26,11 +19,8 @@ let with_lock f =
 (* Counter shards exist precisely so domains don't contend, which only
    works if each shard's cell sits on its own cache line — unpadded,
    [Array.init] packs the 32 atomics into 2-3 lines and hammering
-   domains false-share them.  Histogram bucket rows stay unpadded: a
-   row is already private to one shard index, and padding 64 slots per
-   shard would multiply histogram space 16x for no contention win. *)
+   domains false-share them. *)
 let cells n = Ds_util.Padding.array n 0
-let dense_cells n = Array.init n (fun _ -> Atomic.make 0)
 
 let register name ~kind ~make ~cast =
   with_lock (fun () ->
@@ -63,15 +53,6 @@ let gauge name =
       (g, G g))
     ~cast:(function G g -> Some g | _ -> None)
 
-let histogram name =
-  register name ~kind:"histogram"
-    ~make:(fun () ->
-      let h =
-        { h_name = name; h_cells = Array.init shards (fun _ -> dense_cells (n_buckets + 1)) }
-      in
-      (h, H h))
-    ~cast:(function H h -> Some h | _ -> None)
-
 let shard_index () = (Domain.self () :> int) land shard_mask
 
 let incr c n =
@@ -80,77 +61,22 @@ let incr c n =
 
 let set g v = if Atomic.get enabled_flag then Atomic.set g.g_cell v
 
-(* Bucket [b] holds values in [2^b, 2^(b+1)); everything <= 1 lands in
-   bucket 0.  A shift loop, not [log], so samples stay exact. *)
-let bucket_of v =
-  if v <= 1 then 0
-  else begin
-    let b = ref 0 and x = ref v in
-    while !x > 1 do
-      b := !b + 1;
-      x := !x lsr 1
-    done;
-    min !b (n_buckets - 1)
-  end
-
-let observe h v =
-  if Atomic.get enabled_flag then begin
-    let row = h.h_cells.(shard_index ()) in
-    ignore (Atomic.fetch_and_add row.(bucket_of v) 1);
-    ignore (Atomic.fetch_and_add row.(n_buckets) v)
-  end
-
 let value c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.c_cells
 let gauge_value g = Atomic.get g.g_cell
 
-type hist_view = {
-  h_count : int;
-  h_sum : int;
-  h_buckets : (int * int) list;
-}
-
-type snapshot = {
-  counters : (string * int) list;
-  gauges : (string * int) list;
-  histograms : (string * hist_view) list;
-}
-
-let le_of_bucket b = if b >= 62 then max_int else (1 lsl (b + 1)) - 1
-
-let hist_view h =
-  let totals = Array.make (n_buckets + 1) 0 in
-  Array.iter
-    (fun row ->
-      for i = 0 to n_buckets do
-        totals.(i) <- totals.(i) + Atomic.get row.(i)
-      done)
-    h.h_cells;
-  let buckets = ref [] in
-  let count = ref 0 in
-  for b = n_buckets - 1 downto 0 do
-    if totals.(b) > 0 then begin
-      buckets := (le_of_bucket b, totals.(b)) :: !buckets;
-      count := !count + totals.(b)
-    end
-  done;
-  { h_count = !count; h_sum = totals.(n_buckets); h_buckets = !buckets }
+type snapshot = { counters : (string * int) list; gauges : (string * int) list }
 
 let by_name (a, _) (b, _) = String.compare a b
 
 let snapshot () =
   with_lock (fun () ->
-      let cs = ref [] and gs = ref [] and hs = ref [] in
+      let cs = ref [] and gs = ref [] in
       Hashtbl.iter
         (fun name -> function
           | C c -> cs := (name, value c) :: !cs
-          | G g -> gs := (name, gauge_value g) :: !gs
-          | H h -> hs := (name, hist_view h) :: !hs)
+          | G g -> gs := (name, gauge_value g) :: !gs)
         registry;
-      {
-        counters = List.sort by_name !cs;
-        gauges = List.sort by_name !gs;
-        histograms = List.sort by_name !hs;
-      })
+      { counters = List.sort by_name !cs; gauges = List.sort by_name !gs })
 
 let unregister name = with_lock (fun () -> Hashtbl.remove registry name)
 
@@ -159,10 +85,7 @@ let reset () =
       Hashtbl.iter
         (fun _ -> function
           | C c -> Array.iter (fun a -> Atomic.set a 0) c.c_cells
-          | G g -> Atomic.set g.g_cell 0
-          | H h ->
-              Array.iter (fun row -> Array.iter (fun a -> Atomic.set a 0) row)
-                h.h_cells)
+          | G g -> Atomic.set g.g_cell 0)
         registry)
 
 (* --- exporters ------------------------------------------------------- *)
@@ -195,21 +118,10 @@ let json_obj b fields emit =
 let to_json snap =
   let b = Buffer.create 1024 in
   let int_emit b v = Buffer.add_string b (string_of_int v) in
-  let hist_emit b h =
-    Buffer.add_string b (Printf.sprintf "{\"count\":%d,\"sum\":%d,\"buckets\":[" h.h_count h.h_sum);
-    List.iteri
-      (fun i (le, n) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "{\"le\":%d,\"count\":%d}" le n))
-      h.h_buckets;
-    Buffer.add_string b "]}"
-  in
   Buffer.add_string b "{\"counters\":";
   json_obj b snap.counters int_emit;
   Buffer.add_string b ",\"gauges\":";
   json_obj b snap.gauges int_emit;
-  Buffer.add_string b ",\"histograms\":";
-  json_obj b snap.histograms hist_emit;
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -239,19 +151,4 @@ let to_prometheus snap =
       let n = sanitize name in
       Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n%s %d\n" n n v))
     snap.gauges;
-  List.iter
-    (fun (name, h) ->
-      let n = sanitize name in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" n);
-      let cum = ref 0 in
-      List.iter
-        (fun (le, cnt) ->
-          cum := !cum + cnt;
-          Buffer.add_string b
-            (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" n le !cum))
-        h.h_buckets;
-      Buffer.add_string b
-        (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n" n
-           h.h_count n h.h_sum n h.h_count))
-    snap.histograms;
   Buffer.contents b

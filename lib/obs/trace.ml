@@ -9,7 +9,7 @@ type span = {
   parent_id : int64;
 }
 
-type context = { trace_id : int64; span_id : int64 }
+type context = Ds_util.Envelope.trace = { trace_id : int64; span_id : int64 }
 
 let dummy =
   {

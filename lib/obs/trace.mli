@@ -33,8 +33,9 @@ type span = {
   parent_id : int64;  (** 0 for a trace root *)
 }
 
-type context = { trace_id : int64; span_id : int64 }
-(** A point in some trace: enough to parent new spans under [span_id]. *)
+type context = Ds_util.Envelope.trace = { trace_id : int64; span_id : int64 }
+(** A point in some trace: enough to parent new spans under [span_id];
+    the trailer an {!Ds_util.Envelope} carries across processes. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit

@@ -14,7 +14,7 @@ let by_vertex : Update.t policy = By_key (fun u -> min u.Update.u u.Update.v)
 let m_updates = Ds_obs.Metrics.counter "par.ingest.updates"
 let m_batches = Ds_obs.Metrics.counter "par.ingest.batches"
 let m_steals = Ds_obs.Metrics.counter "par.ingest.steals"
-let m_batch_size = Ds_obs.Metrics.histogram "par.ingest.batch_size"
+let m_batch_size = Ds_obs.Quantile.quantile "par.ingest.batch_size"
 let m_arena_bytes = Ds_obs.Metrics.gauge "par.ingest.arena_bytes"
 
 (* ------------------------------------------------------------------ *)
@@ -284,7 +284,7 @@ let run_plan pool ~workers ~make_slot ~update p =
     Ds_obs.Metrics.incr m_updates (Array.length p.data);
     Ds_obs.Metrics.incr m_batches (Array.length p.chunk_lo);
     Ds_obs.Metrics.incr m_steals (Array.fold_left ( + ) 0 steal_tally);
-    Array.iter (fun len -> Ds_obs.Metrics.observe m_batch_size len) p.chunk_len
+    Array.iter (Ds_obs.Quantile.observe m_batch_size) p.chunk_len
   end;
   Array.of_list (List.filter_map Fun.id (Array.to_list replicas))
 

@@ -9,24 +9,25 @@ type record = {
   r_parts : string list;
 }
 
-(* On-disk generation format (SCP1):
+(* On-disk generation format (SCP1): a header Envelope with magic SCP1,
+   then the parts, concatenated raw.  Header fields:
 
-     tag "SCP1" . int generation . tag tenant . int stream_count
+     int generation . tag tenant . int stream_count
      per stream: tag stream . tag family . int n . int seed
                  . int applied_seq . int part_count . int part_len ...
-     fixed64 FNV-1a of every preceding byte          (header checksum)
-     parts, concatenated raw
 
    The header checksum plus an exact total-length check decide torn vs
    whole before any part is touched; each part is itself an LSK1
    envelope with its own checksum, so targeted damage inside one AGM
-   repetition degrades that copy instead of voiding the generation. *)
+   repetition degrades that copy instead of voiding the generation.
+   The header's length is known only once it is parsed, so the fields
+   are read before its checksum is verified, and nothing past the
+   header is read until it is. *)
 
 let magic = "SCP1"
 
 let encode ~generation ~tenant records =
-  let buf = Wire.sink () in
-  Wire.write_tag buf magic;
+  let buf = Envelope.create magic in
   Wire.write_int buf generation;
   Wire.write_tag buf tenant;
   Wire.write_int buf (List.length records);
@@ -40,19 +41,14 @@ let encode ~generation ~tenant records =
       Wire.write_int buf (List.length r.r_parts);
       List.iter (fun p -> Wire.write_int buf (String.length p)) r.r_parts)
     records;
-  let header = Wire.contents buf in
-  Wire.write_fixed64 buf (Wire.fnv1a64 header);
-  let out = Buffer.create (String.length header + 8) in
-  Buffer.add_string out (Wire.contents buf);
+  let out = Buffer.create 256 in
+  Buffer.add_string out (Envelope.seal buf);
   List.iter (fun r -> List.iter (Buffer.add_string out) r.r_parts) records;
   Buffer.contents out
 
 let decode data =
   let len = String.length data in
-  let src = Wire.source data in
-  match
-    let got = Wire.read_tag src in
-    if got <> magic then failwith (Printf.sprintf "bad magic %S" got);
+  let header src =
     let generation = Wire.read_int src in
     let tenant = Wire.read_tag src in
     let count = Wire.read_int src in
@@ -74,31 +70,31 @@ let decode data =
           in
           (r_stream, r_family, r_n, r_seed, r_applied_seq, lens))
     in
-    let header_len = len - Wire.remaining src in
-    let declared = Wire.read_fixed64 src in
-    if Wire.fnv1a64 ~pos:0 ~len:header_len data <> declared then
-      failwith "header checksum mismatch";
-    let pos = ref (header_len + 8) in
-    let records =
-      List.map
-        (fun (r_stream, r_family, r_n, r_seed, r_applied_seq, lens) ->
-          let r_parts =
+    Ok (generation, tenant, skeleton)
+  in
+  match Envelope.decode_prefix ~magic ~error:Envelope.error_to_string header data with
+  | Error _ as e -> e
+  | Ok ((generation, tenant, skeleton), parts_pos) ->
+      let parts_len =
+        List.fold_left (fun acc (_, _, _, _, _, lens) -> List.fold_left ( + ) acc lens) 0 skeleton
+      in
+      let extra = len - parts_pos - parts_len in
+      if extra < 0 then Error "torn: parts cut short"
+      else if extra > 0 then Error (Printf.sprintf "%d trailing bytes" extra)
+      else
+        let pos = ref parts_pos in
+        let part l =
+          let p = String.sub data !pos l in
+          pos := !pos + l;
+          p
+        in
+        Ok
+          ( generation,
+            tenant,
             List.map
-              (fun l ->
-                if !pos + l > len then failwith "torn: parts cut short";
-                let p = String.sub data !pos l in
-                pos := !pos + l;
-                p)
-              lens
-          in
-          { r_stream; r_family; r_n; r_seed; r_applied_seq; r_parts })
-        skeleton
-    in
-    if !pos <> len then failwith (Printf.sprintf "%d trailing bytes" (len - !pos));
-    (generation, tenant, records)
-  with
-  | v -> Ok v
-  | exception Failure m -> Error m
+              (fun (r_stream, r_family, r_n, r_seed, r_applied_seq, lens) ->
+                { r_stream; r_family; r_n; r_seed; r_applied_seq; r_parts = List.map part lens })
+              skeleton )
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)

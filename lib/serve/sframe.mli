@@ -1,11 +1,9 @@
 (** SRV1: the serving layer's frame protocol.
 
     Clients speak length-prefixed frames ({!Ds_util.Wire.write_frame} /
-    {!Frame_reader}) whose payloads are the tagged, checksummed messages
-    below: [tag "SRV1" . kind . fields . fixed64 FNV-1a]. The checksum is
-    verified before any field is parsed, mirroring the LSK1 envelope
-    discipline — a damaged frame is a typed decode error, never garbage
-    state.
+    {!Frame_reader}) whose payloads are the messages below, each a
+    {!Ds_util.Envelope} with magic ["SRV1"] whose fields start with the
+    kind — a damaged frame is a decode error, never garbage state.
 
     Sketch payloads inside [Ingest] and [State] are ordinary LSK1
     envelopes ({!Ds_sketch.Linear_sketch}): the server absorbs ingests by
@@ -82,11 +80,10 @@ val nack_retryable : nack -> bool
 val pp_nack : Format.formatter -> nack -> unit
 
 val encode_request : ?trace:Ds_obs.Trace.context -> request -> string
-(** [?trace] appends the same strictly-additive TCTX extension the
-    LSK1 envelope carries (tag + two fixed64 ids, inside the checksum)
-    so the server can link its [serve.apply] span under the client's
-    send span.  Without it the bytes are identical to the PR 8 format,
-    which old servers require. *)
+(** [?trace] appends the envelope's trace-context trailer so the server
+    can link its [serve.apply] span under the client's send span.
+    Without it the bytes are identical to the format that predates the
+    trailer, which old servers require. *)
 
 val decode_request : string -> (request, string) result
 (** Accepts traced and untraced frames alike, dropping the context. *)

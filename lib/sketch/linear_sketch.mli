@@ -6,21 +6,20 @@
     pass structure (Algorithms 1+2) rest on, and it buys three universal
     operations — shipping (serialize), summing (merge) and space accounting —
     that previously existed ad hoc on a handful of modules. This module makes
-    the property load-bearing: any module implementing {!S} gets a versioned
-    binary wire format, generic sharded ingestion
+    the property load-bearing: any module implementing {!S} gets a
+    checksummed binary wire format, generic sharded ingestion
     ({!Ds_par.Shard_ingest.linear}, via the parallel library) and
     cluster-simulation shipping ({!Ds_sim.Cluster_sim}) for free.
 
-    {2 Wire format (version 1)}
+    {2 Wire format}
 
-    A serialized sketch is a self-delimiting byte string:
+    A serialized sketch is a {!Ds_util.Envelope} with magic ["LSK1"] (the
+    magic is the version; there is no separate version byte) and fields
 
     {v
-    tag  "LSK1"            magic + format version
     tag  family            the implementation's family name
     array shape            structural fingerprint (dims, rows, ...)
     body                   counters only, implementation-defined
-    fixed64 checksum       FNV-1a of every preceding byte
     v}
 
     Structure (hash functions, fingerprint bases) is derived from a shared
@@ -80,26 +79,15 @@ end
 
 type 'a impl = (module S with type t = 'a)
 
-val version : int
-(** Wire-format version (bumped with the magic tag). *)
-
 val serialize : ?trace:Ds_obs.Trace.context -> 'a impl -> 'a -> string
 (** The sketch's counters in the versioned envelope described above.
 
-    [?trace] appends an optional trace-context extension after the
-    body, inside the checksummed payload:
-
-    {v
-    tag  "TCTX"            extension marker
-    fixed64 trace_id       the shipping run's trace
-    fixed64 span_id        the shipping span (decode spans parent here)
-    v}
-
-    Without [?trace] the envelope is byte-identical to what this module
-    always produced — merge-equality comparisons and checkpoint hashes
-    are unaffected.  A reader finding the extension records a
-    ["sketch.decode"] span linked to the carried context (when tracing
-    is enabled) and otherwise ignores it. *)
+    [?trace] appends the envelope's trace-context trailer (the shipping
+    span; decode spans parent there). Without it the envelope is
+    byte-identical to what this module always produced — merge-equality
+    comparisons and checkpoint hashes are unaffected.  A reader finding
+    the trailer records a ["sketch.decode"] span linked to the carried
+    context (when tracing is enabled) and otherwise ignores it. *)
 
 (** Why a decode was rejected — the typed face of envelope validation, in
     the order the checks run. A supervising coordinator branches on this
@@ -145,11 +133,6 @@ val absorb_result : 'a impl -> 'a -> string -> (unit, error) result
 val absorb : 'a impl -> 'a -> string -> unit
 (** Raising wrapper for {!absorb_result}. @raise Failure as
     {!deserialize_into}. *)
-
-val not_linear : family:string -> reason:string -> unit -> 'a
-(** Registration guard for summaries that are {e not} linear (they lack
-    [add]/[sub]/[clone_zero] and cannot honour the merge contract).
-    @raise Invalid_argument always, naming the family and the reason. *)
 
 (** A sketch packed with its implementation — the dynamic counterpart of
     {!impl}, for registries that hold many sketch families at once (e.g. the

@@ -1,10 +1,15 @@
 type sink = Buffer.t
-type source = { data : string; mutable pos : int }
+type source = { data : string; mutable pos : int; limit : int }
 
 let sink () = Buffer.create 256
 let contents = Buffer.contents
-let source data = { data; pos = 0 }
-let remaining s = String.length s.data - s.pos
+let source data = { data; pos = 0; limit = String.length data }
+
+let source_prefix data len =
+  if len < 0 || len > String.length data then invalid_arg "Wire.source_prefix";
+  { data; pos = 0; limit = len }
+
+let remaining s = s.limit - s.pos
 
 (* Zig-zag then base-128 varint; total over the full 63-bit int range (the
    recursion uses logical shifts, so a negative zig-zag word terminates
@@ -21,7 +26,7 @@ let write_int buf v =
   go z
 
 let read_byte s =
-  if s.pos >= String.length s.data then failwith "Wire: truncated input";
+  if s.pos >= s.limit then failwith "Wire: truncated input";
   let b = Char.code s.data.[s.pos] in
   s.pos <- s.pos + 1;
   b
@@ -49,21 +54,17 @@ let read_array s =
   if len < 0 || len > remaining s then failwith "Wire: implausible array length";
   Array.init len (fun _ -> read_int s)
 
-let write_fixed64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
-  done
+let write_fixed64 = Buffer.add_int64_le
 
 let read_fixed64 s =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (read_byte s)) (8 * i))
-  done;
-  !v
+  if remaining s < 8 then failwith "Wire: truncated input";
+  let v = String.get_int64_le s.data s.pos in
+  s.pos <- s.pos + 8;
+  v
 
-(* FNV-1a over a byte range, the integrity check of the Linear_sketch wire
-   envelope. 64-bit arithmetic via Int64 so writer and reader agree on every
-   platform word size. *)
+(* FNV-1a over a byte range, the integrity check of every Envelope. 64-bit
+   arithmetic via Int64 so writer and reader agree on every platform word
+   size. *)
 let fnv1a64 ?(pos = 0) ?len data =
   let len = match len with Some l -> l | None -> String.length data - pos in
   if pos < 0 || len < 0 || pos + len > String.length data then

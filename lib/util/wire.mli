@@ -15,6 +15,10 @@ val sink : unit -> sink
 val contents : sink -> string
 val source : string -> source
 
+val source_prefix : string -> int -> source
+(** [source_prefix data len] reads [data.[0 .. len-1]] only, without
+    copying it. @raise Invalid_argument unless [0 <= len <= length]. *)
+
 val remaining : source -> int
 (** Bytes not yet consumed. *)
 
@@ -34,8 +38,8 @@ val read_fixed64 : source -> int64
 
 val fnv1a64 : ?pos:int -> ?len:int -> string -> int64
 (** FNV-1a 64-bit hash of [data.[pos .. pos+len-1]] (defaults: the whole
-    string). The corruption check of every versioned sketch wire message:
-    writers append it, readers verify it before parsing anything else. *)
+    string). The corruption check of every {!Envelope}, and the content
+    digest of sketch state. *)
 
 (** {1 Length-prefixed framing}
 

@@ -224,46 +224,6 @@ let test_csr_transpose () =
   check_float "transposed entry 2" (-1.0) (Csr.get mt 0 1);
   check_bool "shape" true (Csr.rows mt = 3 && Csr.cols mt = 2)
 
-(* -------------------- Power iteration -------------------- *)
-
-let test_power_matches_jacobi () =
-  let g = Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 30) ~n:24 ~p:0.2) in
-  let exact =
-    let ev = Jacobi.eigenvalues (Laplacian.dense g) in
-    ev.(Array.length ev - 1)
-  in
-  let pi = Power_iteration.lambda_max g ~iters:500 () in
-  check_bool
-    (Printf.sprintf "power %.4f vs jacobi %.4f" pi exact)
-    true
-    (abs_float (pi -. exact) /. exact < 0.01)
-
-let test_power_pencil_identity () =
-  let g = Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 31) ~n:20 ~p:0.25) in
-  let v = Power_iteration.lambda_max_pencil ~base:g ~candidate:g () in
-  check_float "identical pencil" ~tol:1e-6 1.0 v
-
-let test_power_pencil_scaled () =
-  let g = Weighted_graph.of_graph (Gen.cycle 12) in
-  let h = Weighted_graph.create 12 in
-  Weighted_graph.iter_edges g (fun u v w -> Weighted_graph.add_edge h u v (2.0 *. w));
-  let v = Power_iteration.lambda_max_pencil ~base:g ~candidate:h () in
-  check_float "scaled pencil" ~tol:1e-4 2.0 v
-
-let test_power_pencil_matches_spectral () =
-  let g = Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 32) ~n:18 ~p:0.3) in
-  (* candidate: random reweighting *)
-  let rng = Prng.create 33 in
-  let h = Weighted_graph.create 18 in
-  Weighted_graph.iter_edges g (fun u v w ->
-      Weighted_graph.add_edge h u v (w *. (0.5 +. Prng.float rng 1.0)));
-  let { Spectral.lambda_max; _ } = Spectral.pencil_bounds ~base:g ~candidate:h in
-  let pi = Power_iteration.lambda_max_pencil ~base:g ~candidate:h ~iters:300 () in
-  check_bool
-    (Printf.sprintf "pencil power %.4f vs exact %.4f" pi lambda_max)
-    true
-    (abs_float (pi -. lambda_max) /. lambda_max < 0.02)
-
 let prop_resistance_bounded_by_distance =
   QCheck.Test.make ~name:"R_uv <= d(u,v) on unit-weight graphs (Rayleigh)" ~count:25
     QCheck.small_nat
@@ -316,13 +276,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_csr_basics;
           Alcotest.test_case "matches dense laplacian" `Quick test_csr_matches_dense_laplacian;
           Alcotest.test_case "transpose" `Quick test_csr_transpose;
-        ] );
-      ( "power_iteration",
-        [
-          Alcotest.test_case "matches jacobi" `Quick test_power_matches_jacobi;
-          Alcotest.test_case "pencil identity" `Quick test_power_pencil_identity;
-          Alcotest.test_case "pencil scaled" `Quick test_power_pencil_scaled;
-          Alcotest.test_case "pencil matches spectral" `Quick test_power_pencil_matches_spectral;
         ] );
       ( "spectral",
         [

@@ -140,26 +140,6 @@ let test_wrong_shape_rejected () =
   check_bool "dim-100 message rejected by dim-101 sketch" true
     (fails_with_failure (fun () -> LS.deserialize_into (module One_sparse.Linear) large msg))
 
-let test_misra_gries_not_linear () =
-  (* Misra-Gries cannot implement the interface (no add/sub/clone_zero):
-     that is a compile-time fact; the runtime witness raises. *)
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  (match Misra_gries.linear () with
-  | exception Invalid_argument m ->
-      check_bool "message names the family" true (contains ~needle:"misra_gries" m)
-  | _ -> Alcotest.fail "Misra_gries.linear must raise Invalid_argument");
-  let mg = Misra_gries.create ~k:5 in
-  Alcotest.(check int) "space accounted" 12 (Misra_gries.space_in_words mg)
-
-let test_not_linear_guard () =
-  match LS.not_linear ~family:"bogus" ~reason:"testing" () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "not_linear must raise Invalid_argument"
-
 (* ------------------------------------------------------------------ *)
 (* Golden fixtures: the committed envelopes under golden/ were produced
    by the pre-Words (heap int-array) representation from the exact
@@ -427,7 +407,7 @@ let () =
   Alcotest.run "linear_sketch"
     [
       ("golden fixtures", per_family test_golden);
-      ( "golden envelope fixtures",
+      ( "envelope fixtures",
         List.map
           (fun (file, bytes) ->
             Alcotest.test_case file `Quick (fun () -> check_fixture file (bytes ())))
@@ -442,11 +422,6 @@ let () =
         [
           Alcotest.test_case "cross-family rejected" `Quick test_cross_family_rejected;
           Alcotest.test_case "wrong shape rejected" `Quick test_wrong_shape_rejected;
-        ] );
-      ( "non-linear guard",
-        [
-          Alcotest.test_case "misra_gries refuses" `Quick test_misra_gries_not_linear;
-          Alcotest.test_case "not_linear raises" `Quick test_not_linear_guard;
         ] );
       ("properties", qcheck_cases);
       ("words kernels", kernel_cases);
