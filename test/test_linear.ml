@@ -141,10 +141,12 @@ let test_wrong_shape_rejected () =
     (fails_with_failure (fun () -> LS.deserialize_into (module One_sparse.Linear) large msg))
 
 (* ------------------------------------------------------------------ *)
-(* Golden fixtures: the committed envelopes under golden/ were produced
-   by the pre-Words (heap int-array) representation from the exact
-   update stream in Linear_families. Reproducing them byte-for-byte
-   pins the LSK1 wire format across the storage refactor.             *)
+(* Golden fixtures: the committed .lsk1 envelopes under golden/ were
+   produced by the pre-Words (heap int-array) representation from the
+   exact update stream in Linear_families, the Golden_fixtures files
+   (TPS1, SCP1, traced LSK1 and SRV1) by the per-format codecs that
+   preceded Envelope. Reproducing them byte-for-byte pins every wire
+   format across both refactors.                                      *)
 (* ------------------------------------------------------------------ *)
 
 let check_fixture file bytes =
