@@ -198,6 +198,51 @@ let test_two_pass_diagnostics_clean () =
   check_int "no table failures" 0 d.Two_pass_spanner.table_decode_failures;
   check_bool "space accounted" true (r.Two_pass_spanner.space_words > 0)
 
+(* Pass-2 output pinned bit for bit. Each case is a fixed, seeded, churned
+   stream, so a change to how pass 2 hashes or writes the table words that
+   is not bit-identical shows up here as a changed digest, edge count,
+   failure count or space figure. The
+   digest is FNV-1a-64 over the sorted "u,v;" edge list — the same one
+   [dynospan] prints as [spanner-hash], so the first case is the CLI run
+   [spanner -n 96 --seed 7 -k 3]. *)
+let spanner_digest spanner =
+  let edges = ref [] in
+  Graph.iter_edges spanner (fun u v -> edges := (min u v, max u v) :: !edges);
+  let buf = Buffer.create 1024 in
+  List.iter (fun (u, v) -> Buffer.add_string buf (Printf.sprintf "%d,%d;" u v))
+    (List.sort compare !edges);
+  Printf.sprintf "%016Lx" (Wire.fnv1a64 (Buffer.contents buf))
+
+(* name, seed, n, p, decoys, k, then the pinned digest, recovered_edges,
+   pass-1 / table / payload decode failures and space_words. *)
+let pinned_pass2_cases =
+  [
+    ("cli n=96 k=3 seed 7", 7, 96, 0.05, 500, 3, "0fdc5c0491c987d5", 424, 0, 0, 0, 2393658);
+    ("n=80 k=2 seed 23", 23, 80, 0.1, 400, 2, "5043383b2d778c50", 562, 0, 0, 0, 1674726);
+    ("n=128 k=4 seed 41", 41, 128, 0.06, 900, 4, "100aedd6d9b3fbb4", 447, 0, 0, 0, 2822427);
+  ]
+
+let test_two_pass_pinned_output () =
+  List.iter
+    (fun (name, seed, n, p, decoys, k, digest, recovered, f1, ft, fp, space) ->
+      (* The split order replays [dynospan setup]: graph, stream, stats. *)
+      let rng = Prng.create seed in
+      let g = Gen.connected_gnp (Prng.split rng) ~n ~p in
+      let stream = Stream_gen.with_churn (Prng.split rng) ~decoys g in
+      ignore (Prng.split rng);
+      let r =
+        Two_pass_spanner.run (Prng.split rng) ~n
+          ~params:(Two_pass_spanner.default_params ~k) stream
+      in
+      let d = r.Two_pass_spanner.diagnostics in
+      Alcotest.(check string) (name ^ " digest") digest (spanner_digest r.Two_pass_spanner.spanner);
+      check_int (name ^ " recovered_edges") recovered d.Two_pass_spanner.recovered_edges;
+      check_int (name ^ " pass1 failures") f1 d.Two_pass_spanner.pass1_decode_failures;
+      check_int (name ^ " table failures") ft d.Two_pass_spanner.table_decode_failures;
+      check_int (name ^ " payload failures") fp d.Two_pass_spanner.payload_decode_failures;
+      check_int (name ^ " space_words") space r.Two_pass_spanner.space_words)
+    pinned_pass2_cases
+
 let prop_two_pass_stretch =
   QCheck.Test.make ~name:"two-pass spanner respects 2^k on random graphs+streams" ~count:15
     QCheck.(pair small_nat (int_range 1 3))
@@ -367,6 +412,7 @@ let () =
           Alcotest.test_case "offline semantics" `Quick test_two_pass_matches_offline_semantics;
           Alcotest.test_case "accessed superset" `Quick test_two_pass_accessed_superset;
           Alcotest.test_case "diagnostics clean" `Quick test_two_pass_diagnostics_clean;
+          Alcotest.test_case "pinned pass-2 output" `Quick test_two_pass_pinned_output;
         ] );
       ( "multipass",
         [
