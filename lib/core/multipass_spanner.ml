@@ -59,6 +59,9 @@ let run rng ~n ~params:prm stream =
       Packed_l0.make_config (Prng.split_named prng "payload") ~dim:n ~params:prm.payload
     in
     let payload_len = Packed_l0.state_len payload_cfg in
+    (* Each update is hashed into [plan] once and applied to every row. *)
+    let plan = Packed_l0.plan payload_cfg in
+    let write arr off = Packed_l0.apply plan arr ~off in
     let needs_sketch v =
       cluster.(v) >= 0 && ((not final) && not sampled_cluster.(cluster.(v)) || final)
     in
@@ -86,8 +89,8 @@ let run rng ~n ~params:prm stream =
           | Some smp when sampled_cluster.(cluster.(b)) ->
               L0_sampler.update smp ~index:b ~delta
           | Some _ | None -> ());
-          Sketch_table.update s.table ~key:cluster.(b) ~weight:delta ~write:(fun arr off ->
-              Packed_l0.update s.payload_cfg arr ~off ~index:b ~delta)
+          Packed_l0.prepare plan ~index:b ~delta;
+          Sketch_table.update s.table ~key:cluster.(b) ~weight:delta ~write
     in
     Array.iter
       (fun (u : Update.t) ->

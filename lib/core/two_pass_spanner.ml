@@ -217,10 +217,15 @@ let attach p ~level ~root:_ ~members =
 (* Pass 2: terminal-cluster hash tables.                                *)
 (* ------------------------------------------------------------------ *)
 
+(* [payload] is None for singleton clusters. Its plan and [write] are the
+   table's pass-2 scratch, built once: an update is hashed into the plan
+   once per route and [write] applies it to the payload window of each
+   table row. *)
 type terminal_table = {
   members : int array;
   table : Sketch_table.t;
-  payload_cfg : Packed_l0.config option; (* None for singleton clusters *)
+  payload : (Packed_l0.config * Packed_l0.plan) option;
+  write : Words.t -> int -> unit;
 }
 
 type pass2 = {
@@ -260,28 +265,33 @@ let make_pass2 rng ~n ~prm (clustering : Clustering.t) =
           Sketch_table.create (Prng.split_named trng "cells") ~key_dim:n ~capacity
             ~rows:prm.table_rows ~hash_degree:prm.hash_degree ~payload_len
         in
-        { members; table; payload_cfg })
+        let payload = Option.map (fun cfg -> (cfg, Packed_l0.plan cfg)) payload_cfg in
+        let write =
+          match payload with
+          | None -> fun _arr _off -> ()
+          | Some (_, plan) -> fun arr off -> Packed_l0.apply plan arr ~off
+        in
+        { members; table; payload; write })
       clustering.Clustering.terminals
   in
   { terminal_id_of; rank_in_terminal; tables }
 
+(* Edge (a, b) as seen from [a]'s terminal cluster: key [b], payload
+   coordinate [a]'s rank in the cluster. *)
+let route p2 ~delta a b =
+  let tid = p2.terminal_id_of.(a) in
+  if p2.terminal_id_of.(b) <> tid then begin
+    let tt = p2.tables.(tid) in
+    (match tt.payload with
+    | None -> ()
+    | Some (_, plan) -> Packed_l0.prepare plan ~index:p2.rank_in_terminal.(a) ~delta);
+    Sketch_table.update tt.table ~key:b ~weight:delta ~write:tt.write
+  end
+
 let pass2_update p2 (u : Update.t) =
   let delta = Update.delta u in
-  let route a b =
-    let tid = p2.terminal_id_of.(a) in
-    if p2.terminal_id_of.(b) <> tid then begin
-      let tt = p2.tables.(tid) in
-      let rank = p2.rank_in_terminal.(a) in
-      let write =
-        match tt.payload_cfg with
-        | None -> fun _arr _off -> ()
-        | Some cfg -> fun arr off -> Packed_l0.update cfg arr ~off ~index:rank ~delta
-      in
-      Sketch_table.update tt.table ~key:b ~weight:delta ~write
-    end
-  in
-  route u.Update.u u.Update.v;
-  route u.Update.v u.Update.u
+  route p2 ~delta u.Update.u u.Update.v;
+  route p2 ~delta u.Update.v u.Update.u
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: the pass boundary, serialised.                          *)
@@ -424,11 +434,11 @@ let finish rng p1 ~n ~prm stream =
               List.iter
                 (fun (key, weight, payload) ->
                   if weight > 0 then
-                    match tt.payload_cfg with
+                    match tt.payload with
                     | None ->
                         incr recovered;
                         add tt.members.(0) key
-                    | Some cfg -> (
+                    | Some (cfg, _) -> (
                         match Packed_l0.decode cfg payload ~off:0 with
                         | Some (rank, _) ->
                             incr recovered;

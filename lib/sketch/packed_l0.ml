@@ -45,21 +45,73 @@ let state_len c = c.prm.reps * rep_words c
 let cell_off c ~rep ~level ~row ~bucket =
   (rep * rep_words c) + (level * level_words c) + (((row * c.buckets) + bucket) * triple_words)
 
-let update c (state : Words.t) ~off ~index ~delta =
-  if index < 0 || index >= c.dim then invalid_arg "Packed_l0.update: index out of range";
-  let fp = delta * Field.pow c.base (index + 1) in
+(* One update, hashed once and applicable to any number of state windows:
+   the cells it touches as offsets relative to the window (one geometric
+   level per rep, then one bucket per (rep, level, row), so [(lvl + 1) *
+   rows] cells per rep) and the (count, index-sum, fingerprint) increments
+   every one of them receives. A caller writing the same coordinate into
+   several windows — Sketch_table's rows — prepares once and applies per
+   window. *)
+type plan = {
+  cfg : config;
+  offs : int array; (* capacity reps * levels * rows *)
+  mutable cells : int; (* live prefix of [offs] *)
+  mutable d_count : int;
+  mutable d_sum : int;
+  mutable d_fp : int;
+}
+
+let plan c =
+  {
+    cfg = c;
+    offs = Array.make (c.prm.reps * c.levels * rows) 0;
+    cells = 0;
+    d_count = 0;
+    d_sum = 0;
+    d_fp = 0;
+  }
+
+(* The key is folded once and its square/fourth power shared by every level
+   and bucket hash (same values as [Kwise.level] / [Kwise.to_range]); the
+   bucket of a (rep, row) does not depend on the level, so it is hashed
+   once and reused down the levels. *)
+let prepare p ~index ~delta =
+  let c = p.cfg in
+  if index < 0 || index >= c.dim then invalid_arg "Packed_l0.prepare: index out of range";
+  let x = Kwise.fold_key index in
+  let x2 = Field.mul x x in
+  let x4 = Field.mul x2 x2 in
+  let n = ref 0 in
   for rep = 0 to c.prm.reps - 1 do
-    let lvl = min (Kwise.level c.level_hashes.(rep) index) (c.levels - 1) in
-    for level = 0 to lvl do
-      for row = 0 to rows - 1 do
-        let bucket = Kwise.to_range c.bucket_hashes.(rep).(row) index ~bound:c.buckets in
-        let o = off + cell_off c ~rep ~level ~row ~bucket in
-        Words.unsafe_set state o (Words.unsafe_get state o + delta);
-        Words.unsafe_set state (o + 1) (Words.unsafe_get state (o + 1) + (delta * index));
-        Words.unsafe_set state (o + 2) (Words.unsafe_get state (o + 2) + fp)
+    let lvl = min (Kwise.level_pows c.level_hashes.(rep) ~x ~x2 ~x4) (c.levels - 1) in
+    for row = 0 to rows - 1 do
+      let bucket =
+        Kwise.to_range_pows c.bucket_hashes.(rep).(row) ~x ~x2 ~x4 ~bound:c.buckets
+      in
+      for level = 0 to lvl do
+        p.offs.(!n) <- cell_off c ~rep ~level ~row ~bucket;
+        incr n
       done
     done
+  done;
+  p.cells <- !n;
+  p.d_count <- delta;
+  p.d_sum <- delta * index;
+  p.d_fp <- delta * Field.pow c.base (index + 1)
+
+let apply p (state : Words.t) ~off =
+  let dc = p.d_count and ds = p.d_sum and df = p.d_fp in
+  for i = 0 to p.cells - 1 do
+    let o = off + Array.unsafe_get p.offs i in
+    Words.unsafe_set state o (Words.unsafe_get state o + dc);
+    Words.unsafe_set state (o + 1) (Words.unsafe_get state (o + 1) + ds);
+    Words.unsafe_set state (o + 2) (Words.unsafe_get state (o + 2) + df)
   done
+
+let update c state ~off ~index ~delta =
+  let p = plan c in
+  prepare p ~index ~delta;
+  apply p state ~off
 
 (* Decode one (rep, level) grid by peeling, on a scratch copy (an ordinary
    int array — decode is a cold path and the grid is small). Returns

@@ -29,9 +29,31 @@ val make_config : Ds_util.Prng.t -> dim:int -> params:params -> config
 val state_len : config -> int
 (** Word length of the state window required. *)
 
+type plan
+(** One update, hashed: the cells it touches, as offsets relative to a state
+    window, and the increments they receive. Mutable scratch, reused across
+    updates; one per writer. *)
+
+val plan : config -> plan
+(** A reusable plan for updates under [config]. *)
+
+val prepare : plan -> index:int -> delta:int -> unit
+(** [prepare p ~index ~delta] hashes coordinate [index] once — its
+    geometric level in each rep and its bucket in each (rep, row) — and
+    records the cells and increments of adding [delta] to it, replacing
+    what [p] held.
+    @raise Invalid_argument if [index] is outside [0, dim). *)
+
+val apply : plan -> Ds_util.Words.t -> off:int -> unit
+(** [apply p state ~off] adds the prepared update to the window
+    [state.(off .. off + state_len - 1)]. Applying one plan to several
+    windows gives each the words {!update} would. *)
+
 val update : config -> Ds_util.Words.t -> off:int -> index:int -> delta:int -> unit
 (** Add [delta] to coordinate [index] of the vector sketched in
-    [state.(off .. off + state_len - 1)]. *)
+    [state.(off .. off + state_len - 1)]: {!prepare} on a fresh plan, then
+    {!apply}. Callers writing one coordinate into several windows keep a
+    plan of their own instead. *)
 
 val decode : config -> Ds_util.Words.t -> off:int -> (int * int) option
 (** [Some (index, value)] for one non-zero coordinate (near-uniform among

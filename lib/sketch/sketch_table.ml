@@ -44,12 +44,27 @@ let create rng ~key_dim ~capacity ~rows ~hash_degree ~payload_len =
     words = Words.create (rows * capacity * (3 + payload_len));
   }
 
+(* Row hashes of one key share its folded value and that value's square and
+   fourth power, so [update] folds the key once (as Sparse_recovery does)
+   and evaluates one polynomial per row. *)
+let[@inline] bucket_pows t ~row ~x ~x2 ~x4 =
+  Kwise.to_range_pows (Array.unsafe_get t.hashes row) ~x ~x2 ~x4 ~bound:t.cap
+
+let bucket t ~row ~key =
+  if row < 0 || row >= t.rows then invalid_arg "Sketch_table.bucket: row out of range";
+  let x = Kwise.fold_key key in
+  let x2 = Field.mul x x in
+  bucket_pows t ~row ~x ~x2 ~x4:(Field.mul x2 x2)
+
 let update t ~key ~weight ~write =
   if key < 0 || key >= t.key_dim then invalid_arg "Sketch_table.update: key out of range";
   let fp = weight * Field.pow t.base (key + 1) in
+  let x = Kwise.fold_key key in
+  let x2 = Field.mul x x in
+  let x4 = Field.mul x2 x2 in
   let w = t.words in
   for r = 0 to t.rows - 1 do
-    let c = Kwise.to_range t.hashes.(r) key ~bound:t.cap in
+    let c = bucket_pows t ~row:r ~x ~x2 ~x4 in
     let okc = kc_off t r c and oks = ks_off t r c and okf = kf_off t r c in
     Words.unsafe_set w okc (Words.unsafe_get w okc + weight);
     Words.unsafe_set w oks (Words.unsafe_get w oks + (weight * key));
@@ -91,14 +106,14 @@ let decode t =
     for r = 0 to t.rows - 1 do
       for c = 0 to t.cap - 1 do
         match decode_cell t scratch r c with
-        | One (k, w) when Kwise.to_range t.hashes.(r) k ~bound:t.cap = c ->
+        | One (k, w) when bucket t ~row:r ~key:k = c ->
             let pl = Words.create t.payload_len in
             Words.blit ~src:scratch ~src_pos:(payload_off t r c) ~dst:pl ~dst_pos:0
               ~len:t.payload_len;
             results := (k, w, pl) :: !results;
             let fp = w * Field.pow t.base (k + 1) in
             for r' = 0 to t.rows - 1 do
-              let c' = Kwise.to_range t.hashes.(r') k ~bound:t.cap in
+              let c' = bucket t ~row:r' ~key:k in
               let okc = kc_off t r' c' and oks = ks_off t r' c' and okf = kf_off t r' c' in
               Words.unsafe_set scratch okc (Words.unsafe_get scratch okc - w);
               Words.unsafe_set scratch oks (Words.unsafe_get scratch oks - (w * k));

@@ -25,6 +25,12 @@ val create :
 (** A table that can recover up to roughly [capacity / 1.3] distinct keys
     whp. [payload_len] is the word length of every payload vector. *)
 
+val bucket : t -> row:int -> key:int -> int
+(** The cell [key] hashes to in row [row], in [0, capacity). {!update} and
+    {!decode} place keys by exactly this function, so a model of the table
+    (e.g. which keys share a cell in every row) can be built from it.
+    @raise Invalid_argument if [row] is outside [0, rows). *)
+
 val update : t -> key:int -> weight:int -> write:(Ds_util.Words.t -> int -> unit) -> unit
 (** [update t ~key ~weight ~write] adds [weight] to [key]'s weight and
     applies [write buf off] — which must add an integer-linear contribution

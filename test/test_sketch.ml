@@ -402,6 +402,56 @@ let test_packed_l0_offset () =
   | Some (5, 1) -> ()
   | Some _ | None -> Alcotest.fail "expected element in slot 1"
 
+let test_packed_l0_plan_windows () =
+  (* One plan, prepared once per update and applied at three offsets of one
+     buffer: every window must hold exactly the words of an Owned sampler
+     (same config) fed the same (index, delta) sequence. *)
+  let owned =
+    Packed_l0.Owned.create (Prng.create 21) ~dim:64 ~params:Packed_l0.default_params
+  in
+  let cfg = Packed_l0.Owned.config owned in
+  let len = Packed_l0.state_len cfg in
+  let buf = Words.create (3 * len) in
+  let plan = Packed_l0.plan cfg in
+  let updates = [ (5, 1); (17, 3); (5, -1); (40, 2); (63, 1); (0, 4); (40, -2); (9, -2) ] in
+  List.iter
+    (fun (index, delta) ->
+      Packed_l0.Owned.update owned ~index ~delta;
+      Packed_l0.prepare plan ~index ~delta;
+      for w = 0 to 2 do
+        Packed_l0.apply plan buf ~off:(w * len)
+      done)
+    updates;
+  let live = [ (17, 3); (63, 1); (0, 4); (9, -2) ] in
+  let expected =
+    let sink = Wire.sink () in
+    Packed_l0.Owned.write owned sink;
+    Wire.contents sink
+  in
+  for w = 0 to 2 do
+    (* The window in Owned.write's body format: tag, dim, words. *)
+    let sink = Wire.sink () in
+    Wire.write_tag sink "pl0";
+    Wire.write_int sink (Packed_l0.dim cfg);
+    Words.write_wire_array sink buf ~pos:(w * len) ~len;
+    Alcotest.(check string) (Printf.sprintf "window %d = owned" w) expected (Wire.contents sink);
+    match Packed_l0.decode cfg buf ~off:(w * len) with
+    | Some sample -> check_bool (Printf.sprintf "window %d live" w) true (List.mem sample live)
+    | None -> Alcotest.failf "window %d did not decode" w
+  done
+
+let test_packed_l0_prepare_range () =
+  let cfg =
+    Packed_l0.make_config (Prng.create 22) ~dim:64 ~params:Packed_l0.default_params
+  in
+  let plan = Packed_l0.plan cfg in
+  List.iter
+    (fun index ->
+      Alcotest.check_raises (Printf.sprintf "index %d" index)
+        (Invalid_argument "Packed_l0.prepare: index out of range") (fun () ->
+          Packed_l0.prepare plan ~index ~delta:1))
+    [ -1; 64; 1000 ]
+
 let test_packed_l0_success_rate () =
   let trials = 300 and failures = ref 0 and wrong = ref 0 in
   let rng = Prng.create 19 in
@@ -633,12 +683,50 @@ let test_wire_l0_roundtrip () =
 (* Model-based fuzz: a Sketch_table tracks a map (key -> weight) through a
    random mix of inserts and deletes; whenever the live-key count is within
    capacity, decode must reproduce the model exactly. *)
+(* Sketch_table fuzz against a model map. Peeling fails when the live keys
+   contain a stopping set — keys that share a cell with another live key in
+   every row — and no decoder can recover those; the capacity sizing only
+   makes it unlikely. So the property states that failure probability
+   instead of hiding it behind a load cut-off: [decode] may return [None]
+   only when a model peel of the live keys, placed through
+   [Sketch_table.bucket], gets stuck too; otherwise it must return the
+   model exactly. *)
+let model_peel_stuck t ~rows keys =
+  let live = Hashtbl.create 16 and load = Hashtbl.create 64 in
+  let count cell = Option.value (Hashtbl.find_opt load cell) ~default:0 in
+  let place k d =
+    for row = 0 to rows - 1 do
+      let cell = (row, Sketch_table.bucket t ~row ~key:k) in
+      Hashtbl.replace load cell (count cell + d)
+    done
+  in
+  List.iter
+    (fun k ->
+      Hashtbl.replace live k ();
+      place k 1)
+    keys;
+  let alone k = List.exists (fun row -> count (row, Sketch_table.bucket t ~row ~key:k) = 1) in
+  let progress = ref true in
+  while !progress do
+    progress := false;
+    List.iter
+      (fun k ->
+        if Hashtbl.mem live k && alone k (List.init rows Fun.id) then begin
+          Hashtbl.remove live k;
+          place k (-1);
+          progress := true
+        end)
+      keys
+  done;
+  Hashtbl.length live > 0
+
 let prop_table_fuzz =
-  QCheck.Test.make ~name:"sketch_table agrees with a model map under churn" ~count:60
+  QCheck.Test.make ~name:"sketch_table agrees with a model map under churn" ~count:200
     QCheck.(pair small_nat (small_list (pair (int_bound 199) bool)))
     (fun (seed, ops) ->
+      let rows = 3 in
       let t =
-        Sketch_table.create (Prng.create (seed + 4000)) ~key_dim:200 ~capacity:48 ~rows:3
+        Sketch_table.create (Prng.create (seed + 4000)) ~key_dim:200 ~capacity:48 ~rows
           ~hash_degree:6 ~payload_len:1
       in
       let model = Hashtbl.create 16 in
@@ -651,16 +739,14 @@ let prop_table_fuzz =
           let now = current + delta in
           if now = 0 then Hashtbl.remove model key else Hashtbl.replace model key now)
         ops;
-      if Hashtbl.length model > 32 then true (* beyond tested load *)
-      else
-        match Sketch_table.decode t with
-        | None -> false
-        | Some entries ->
-            List.length entries = Hashtbl.length model
-            && List.for_all
-                 (fun (k, w, payload) ->
-                   Hashtbl.find_opt model k = Some w && Words.get payload 0 = w)
-                 entries)
+      match Sketch_table.decode t with
+      | None -> model_peel_stuck t ~rows (List.of_seq (Hashtbl.to_seq_keys model))
+      | Some entries ->
+          List.length entries = Hashtbl.length model
+          && List.for_all
+               (fun (k, w, payload) ->
+                 Hashtbl.find_opt model k = Some w && Words.get payload 0 = w)
+               entries)
 
 (* L0 sampler fuzz: any sample must come from the model's live support. *)
 let prop_l0_fuzz =
@@ -744,6 +830,8 @@ let () =
           Alcotest.test_case "offset" `Quick test_packed_l0_offset;
           Alcotest.test_case "success rate" `Slow test_packed_l0_success_rate;
           Alcotest.test_case "raw linearity" `Quick test_packed_l0_raw_linearity;
+          Alcotest.test_case "one plan, three windows" `Quick test_packed_l0_plan_windows;
+          Alcotest.test_case "prepare rejects bad index" `Quick test_packed_l0_prepare_range;
         ] );
       ( "wire",
         [
