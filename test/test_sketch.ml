@@ -681,16 +681,14 @@ let test_wire_l0_roundtrip () =
   | Some _ | None -> Alcotest.fail "sample after wire roundtrip"
 
 (* Model-based fuzz: a Sketch_table tracks a map (key -> weight) through a
-   random mix of inserts and deletes; whenever the live-key count is within
-   capacity, decode must reproduce the model exactly. *)
-(* Sketch_table fuzz against a model map. Peeling fails when the live keys
-   contain a stopping set — keys that share a cell with another live key in
-   every row — and no decoder can recover those; the capacity sizing only
-   makes it unlikely. So the property states that failure probability
-   instead of hiding it behind a load cut-off: [decode] may return [None]
-   only when a model peel of the live keys, placed through
-   [Sketch_table.bucket], gets stuck too; otherwise it must return the
-   model exactly. *)
+   random mix of inserts and deletes. Peeling fails when the live keys
+   contain a stopping set — keys each of which shares its cell with another
+   key of the set in every row — and no decoder can recover those; the
+   capacity sizing only makes it unlikely. So the property states that
+   failure probability instead of hiding it behind a load cut-off: [decode]
+   may return [None] only when a model peel of the live keys, placed
+   through [Sketch_table.bucket], gets stuck too; otherwise it must return
+   the model exactly. *)
 let model_peel_stuck t ~rows keys =
   let live = Hashtbl.create 16 and load = Hashtbl.create 64 in
   let count cell = Option.value (Hashtbl.find_opt load cell) ~default:0 in
@@ -705,13 +703,15 @@ let model_peel_stuck t ~rows keys =
       Hashtbl.replace live k ();
       place k 1)
     keys;
-  let alone k = List.exists (fun row -> count (row, Sketch_table.bucket t ~row ~key:k) = 1) in
+  let rec alone k row =
+    row < rows && (count (row, Sketch_table.bucket t ~row ~key:k) = 1 || alone k (row + 1))
+  in
   let progress = ref true in
   while !progress do
     progress := false;
     List.iter
       (fun k ->
-        if Hashtbl.mem live k && alone k (List.init rows Fun.id) then begin
+        if Hashtbl.mem live k && alone k 0 then begin
           Hashtbl.remove live k;
           place k (-1);
           progress := true
