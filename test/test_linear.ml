@@ -140,6 +140,69 @@ let test_wrong_shape_rejected () =
   check_bool "dim-100 message rejected by dim-101 sketch" true
     (fails_with_failure (fun () -> LS.deserialize_into (module One_sparse.Linear) large msg))
 
+(* Forged envelopes: a body edited after serialization and resealed with a
+   fresh checksum gets past the checksum, so only the parser can reject
+   it. [absorb_result] must then return [Error] with the destination's
+   counters exactly as they were — the contract a supervisor relies on to
+   retry the same destination. *)
+let reseal payload =
+  let sum = Bytes.create 8 in
+  Bytes.set_int64_le sum 0 (Wire.fnv1a64 payload);
+  payload ^ Bytes.to_string sum
+
+let check_forged_absorbs packed forgeries =
+  let before = P.serialize packed in
+  List.iter
+    (fun (what, payload) ->
+      (match P.absorb_result packed (reseal payload) with
+      | Ok () -> Alcotest.failf "%s: forged message accepted" what
+      | Error _ -> ());
+      check_string (what ^ ": destination untouched") before (P.serialize packed))
+    forgeries
+
+let test_forged_absorb_untouched name () =
+  let make = maker name in
+  let dst = make () and src = make () in
+  apply_random_updates 31 dst;
+  apply_random_updates 32 src;
+  let msg = P.serialize src in
+  let payload = String.sub msg 0 (String.length msg - 8) in
+  check_string "resealing the payload reproduces the envelope" msg (reseal payload);
+  check_forged_absorbs dst
+    [
+      ("last body byte dropped", String.sub payload 0 (String.length payload - 1));
+      ("junk before the trailer", payload ^ "\000\000\000");
+    ]
+
+let test_forged_window_length () =
+  (* The sparsifier's bank body is a tag, the dimension and one counter
+     window per (bank, level); shortening the last window by one word
+     fails only after every other window has been read. *)
+  let make = maker "sparsify1p" in
+  let dst = make () and src = make () in
+  apply_random_updates 41 dst;
+  apply_random_updates 42 src;
+  let (P.T ((module L), sk)) = src in
+  let body = Wire.sink () in
+  L.write_body sk body;
+  let body = Wire.source (Wire.contents body) in
+  let sink = Wire.sink () in
+  Wire.write_tag sink "LSK1";
+  Wire.write_tag sink (P.family src);
+  Wire.write_array sink (P.shape src);
+  Wire.write_tag sink (Wire.read_tag body);
+  Wire.write_int sink (Wire.read_int body);
+  let windows = ref [] in
+  while Wire.remaining body > 0 do
+    windows := Wire.read_array body :: !windows
+  done;
+  (match !windows with
+  | last :: earlier ->
+      List.iter (Wire.write_array sink) (List.rev earlier);
+      Wire.write_array sink (Array.sub last 0 (Array.length last - 1))
+  | [] -> Alcotest.fail "bank body has no windows");
+  check_forged_absorbs dst [ ("last window one word short", Wire.contents sink) ]
+
 (* ------------------------------------------------------------------ *)
 (* Golden fixtures: the committed .lsk1 envelopes under golden/ were
    produced by the pre-Words (heap int-array) representation from the
@@ -420,10 +483,13 @@ let () =
       ("family stamp", per_family test_family_stamped);
       ("truncation", per_family test_truncation_detected);
       ("bit flips", per_family test_bitflip_detected);
+      ("forged absorb leaves destination", per_family test_forged_absorb_untouched);
       ( "cross-family & shape",
         [
           Alcotest.test_case "cross-family rejected" `Quick test_cross_family_rejected;
           Alcotest.test_case "wrong shape rejected" `Quick test_wrong_shape_rejected;
+          Alcotest.test_case "forged window length leaves destination" `Quick
+            test_forged_window_length;
         ] );
       ("properties", qcheck_cases);
       ("words kernels", kernel_cases);

@@ -418,6 +418,52 @@ let test_s1_state_roundtrip_decodes_identically () =
   check_bool "identical edge sets" true
     (Weighted_graph.edges r1.S1.sparsifier = Weighted_graph.edges r2.S1.sparsifier)
 
+(* Single-pass output pinned bit for bit. Each case is a fixed, seeded,
+   churned stream decoded at eps 0.5, so a change to decode that is not
+   bit-identical shows up as a changed digest or chain profile. The digest
+   is FNV-1a-64 over the sorted "u,v,weight;" list with weights printed
+   exactly ([%h]). *)
+let sparsifier_digest h =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (u, v, w) -> Buffer.add_string buf (Printf.sprintf "%d,%d,%h;" u v w))
+    (List.sort compare (Weighted_graph.edges h));
+  Printf.sprintf "%016Lx" (Wire.fnv1a64 (Buffer.contents buf))
+
+(* name, seed, input graph, decoys, then the pinned digest and
+   chain_sizes. *)
+let pinned_s1_cases =
+  [
+    ( "gnp n=64 p=0.3 seed 31",
+      31,
+      (fun rng -> Gen.gnp rng ~n:64 ~p:0.3),
+      400,
+      "62f703b4c1c4ff89",
+      "74,156,304,488,553,578,592,592,592,591,591,591,591,593,593,593,593,593,593,592,593,592,593" );
+    ( "complete n=96 seed 37",
+      37,
+      (fun _ -> Gen.complete 96),
+      600,
+      "43848cd5ac051dec",
+      "579,710,1258,1749,2618,2770,3060,3257,3492,3464,3306,3441,3502,3393,3495,3364,3224,3556,3355,3449,3474,3451,3294,3502,3254"
+    );
+  ]
+
+let test_s1_pinned_output () =
+  List.iter
+    (fun (name, seed, graph, decoys, digest, sizes) ->
+      let rng = Prng.create seed in
+      let g = graph (Prng.split rng) in
+      let n = Graph.n g and eps = 0.5 in
+      let stream = Stream_gen.with_churn (Prng.split rng) ~decoys g in
+      let r = S1.run (Prng.split rng) ~n ~params:(S1.default_params ~n ~eps) ~eps stream in
+      Alcotest.(check string) (name ^ " digest") digest (sparsifier_digest r.S1.sparsifier);
+      Alcotest.(check string)
+        (name ^ " chain_sizes")
+        sizes
+        (String.concat "," (Array.to_list (Array.map string_of_int r.S1.chain_sizes))))
+    pinned_s1_cases
+
 let () =
   Alcotest.run "sparsifier"
     [
@@ -458,6 +504,7 @@ let () =
           Alcotest.test_case "empty stream" `Quick test_s1_empty_stream;
           Alcotest.test_case "state roundtrip decodes identically" `Slow
             test_s1_state_roundtrip_decodes_identically;
+          Alcotest.test_case "pinned output" `Slow test_s1_pinned_output;
           QCheck_alcotest.to_alcotest prop_s1_pencil;
           QCheck_alcotest.to_alcotest prop_s1_serialize_merge_commutes;
           QCheck_alcotest.to_alcotest prop_s1_size_vs_two_pass;
