@@ -110,6 +110,35 @@ let decode rng t ~eps =
   let steps =
     max 1 (int_of_float (ceil (log (gamma0 /. gamma_floor) /. log 2.0)))
   in
+  (* Every value read from the sketch is a function of the pair alone, so
+     the pairs are read once here and each chain step scans only the present
+     ones. The multiplicity is read from every bank at the pair's own
+     geometric class there — the deepest, hence sparsest, slot that holds
+     it. Taking the min across banks makes a phantom survive only if
+     independent sketches err upward at the same pair, squaring the (already
+     small) false-positive rate; for a present edge every bank reads the
+     exact multiplicity whp, so the min is exact. *)
+  let dim = Edge_index.dim n in
+  let pu = Array.make dim 0 and pv = Array.make dim 0 in
+  let pest = Array.make dim 0.0 in
+  (* [plevel.((k * banks) + b)] is present pair [k]'s class in bank [b]. *)
+  let plevel = Array.make (dim * banks) 0 in
+  let present = ref 0 in
+  Edge_index.iter_pairs ~n (fun u v ->
+      let index = Edge_index.encode ~n u v in
+      let k = !present in
+      let est = ref max_int in
+      for b = 0 to banks - 1 do
+        let g = Level_bank.sample_level t.bank ~bank:b ~index in
+        plevel.((k * banks) + b) <- g;
+        est := min !est (Level_bank.query t.bank ~bank:b ~level:g ~index)
+      done;
+      if !est > 0 then begin
+        pu.(k) <- u;
+        pv.(k) <- v;
+        pest.(k) <- float_of_int !est;
+        present := k + 1
+      end);
   let h = ref (Weighted_graph.create n) in
   let sizes = Array.make steps 0 in
   for s = 1 to steps do
@@ -130,40 +159,25 @@ let decode rng t ~eps =
     in
     let rate = prm.oversample *. logn /. (eps_s *. eps_s) in
     let out = Weighted_graph.create n in
-    Edge_index.iter_pairs ~n (fun u v ->
-        (* The multiplicity is read from every bank at the pair's own
-           geometric class there — the deepest, hence sparsest, slot that
-           holds it. Taking the min across banks makes a phantom survive
-           only if independent sketches err upward at the same pair,
-           squaring the (already small) false-positive rate; for a present
-           edge every bank reads the exact multiplicity whp, so the min is
-           exact. *)
-        let index = Edge_index.encode ~n u v in
-        let est = ref max_int in
-        for b = 0 to banks - 1 do
-          let g = Level_bank.sample_level t.bank ~bank:b ~index in
-          est := min !est (Level_bank.query t.bank ~bank:b ~level:g ~index)
-        done;
-        if !est > 0 then begin
-          (* A multiplicity-m edge is m parallel unit edges, so its
-             leverage — hence its sampling probability — is m times the
-             pair resistance; est is exact whp and independent of the
-             inclusion coin below, so using it here keeps the sample
-             unbiased while stopping heavy edges from being subsampled and
-             weight-amplified. *)
-          let p = min 1.0 (rate *. float_of_int !est *. resist u v) in
-          let lvl =
-            if p >= 1.0 then 0
-            else if p <= 0.0 then levels - 1
-            else min (levels - 1) (int_of_float (floor (-.(log p /. log 2.0))))
-          in
-          (* Inclusion is decided by bank [bank_ix]'s hash at level [lvl]
-             (probability 2^-lvl); the 2^lvl reweighting keeps the
-             expectation exact. *)
-          if Level_bank.sample_level t.bank ~bank:bank_ix ~index >= lvl then
-            Weighted_graph.add_edge out u v
-              (float_of_int !est *. float_of_int (1 lsl lvl))
-        end);
+    for k = 0 to !present - 1 do
+      let u = pu.(k) and v = pv.(k) and est = pest.(k) in
+      (* A multiplicity-m edge is m parallel unit edges, so its leverage —
+         hence its sampling probability — is m times the pair resistance;
+         est is exact whp and independent of the inclusion coin below, so
+         using it here keeps the sample unbiased while stopping heavy edges
+         from being subsampled and weight-amplified. *)
+      let p = min 1.0 (rate *. est *. resist u v) in
+      let lvl =
+        if p >= 1.0 then 0
+        else if p <= 0.0 then levels - 1
+        else min (levels - 1) (int_of_float (floor (-.(log p /. log 2.0))))
+      in
+      (* Inclusion is decided by bank [bank_ix]'s hash at level [lvl]
+         (probability 2^-lvl); the 2^lvl reweighting keeps the expectation
+         exact. *)
+      if plevel.((k * banks) + bank_ix) >= lvl then
+        Weighted_graph.add_edge out u v (est *. float_of_int (1 lsl lvl))
+    done;
     sizes.(s - 1) <- Weighted_graph.num_edges out;
     h := out
   done;
