@@ -1,14 +1,14 @@
 type result = { x : float array; iterations : int; residual : float }
 
-let solve_shifted g ~shift ~b ?(tol = 1e-9) ?(max_iter = 0) () =
-  let n = Ds_graph.Weighted_graph.n g in
+let solve_shifted (e : Laplacian.edges) ~shift ~b ?(tol = 1e-9) ?(max_iter = 0) () =
+  let n = e.Laplacian.n in
   if Array.length b <> n then invalid_arg "Cg.solve_shifted: size mismatch";
   if shift <= 0.0 then invalid_arg "Cg.solve_shifted: shift must be positive";
   let max_iter = if max_iter = 0 then 20 * n else max_iter in
   (* [L + shift I] is positive definite (no kernel, connected or not), so
      this is textbook CG: no ones-projection anywhere. *)
   let apply v =
-    let lv = Laplacian.apply g v in
+    let lv = Laplacian.apply_edges e v in
     for i = 0 to n - 1 do
       lv.(i) <- lv.(i) +. (shift *. v.(i))
     done;
@@ -40,6 +40,7 @@ let solve g ~b ?(tol = 1e-9) ?(max_iter = 0) () =
   let n = Ds_graph.Weighted_graph.n g in
   if Array.length b <> n then invalid_arg "Cg.solve: size mismatch";
   let max_iter = if max_iter = 0 then 20 * n else max_iter in
+  let e = Laplacian.edges g in
   let b = Array.copy b in
   Vec.project_off_ones b;
   let x = Array.make n 0.0 in
@@ -50,7 +51,7 @@ let solve g ~b ?(tol = 1e-9) ?(max_iter = 0) () =
   let iters = ref 0 in
   while sqrt !rs /. bnorm > tol && !iters < max_iter do
     incr iters;
-    let lp = Laplacian.apply g p in
+    let lp = Laplacian.apply_edges e p in
     let denom = Vec.dot p lp in
     if denom <= 0.0 then
       (* Hit the kernel (disconnected graph or numerical trouble): stop. *)
@@ -70,5 +71,5 @@ let solve g ~b ?(tol = 1e-9) ?(max_iter = 0) () =
     end
   done;
   Vec.project_off_ones x;
-  let residual = Vec.norm (Vec.sub (Laplacian.apply g x) b) /. bnorm in
+  let residual = Vec.norm (Vec.sub (Laplacian.apply_edges e x) b) /. bnorm in
   { x; iterations = !iters; residual }

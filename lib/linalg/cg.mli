@@ -12,7 +12,7 @@ val solve :
     minimum-norm one (mean zero). *)
 
 val solve_shifted :
-  Ds_graph.Weighted_graph.t ->
+  Laplacian.edges ->
   shift:float ->
   b:float array ->
   ?tol:float ->
@@ -23,5 +23,7 @@ val solve_shifted :
     matrix is positive definite for every graph — including disconnected
     ones — so no kernel projection is involved; this is the solver behind
     the single-pass sparsifier's chain of regularized Laplacians [K(gamma) =
-    L + gamma I] (KLMMS, arXiv 1407.1289). @raise Invalid_argument on a size
-    mismatch or non-positive shift. *)
+    L + gamma I] (KLMMS, arXiv 1407.1289). The graph comes flattened
+    ({!Laplacian.edges}) so a caller solving several systems on one graph
+    flattens it once. @raise Invalid_argument on a size mismatch or
+    non-positive shift. *)

@@ -10,15 +10,31 @@ let dense g =
       Matrix.add_to m v v w);
   m
 
-let apply g x =
-  let n = Weighted_graph.n g in
-  if Array.length x <> n then invalid_arg "Laplacian.apply: size mismatch";
-  let y = Array.make n 0.0 in
+type edges = { n : int; eu : int array; ev : int array; ew : float array }
+
+let edges g =
+  let m = Weighted_graph.num_edges g in
+  let eu = Array.make m 0 and ev = Array.make m 0 and ew = Array.make m 0.0 in
+  let k = ref 0 in
   Weighted_graph.iter_edges g (fun u v w ->
-      let d = x.(u) -. x.(v) in
-      y.(u) <- y.(u) +. (w *. d);
-      y.(v) <- y.(v) -. (w *. d));
+      eu.(!k) <- u;
+      ev.(!k) <- v;
+      ew.(!k) <- w;
+      incr k);
+  { n = Weighted_graph.n g; eu; ev; ew }
+
+let apply_edges e x =
+  if Array.length x <> e.n then invalid_arg "Laplacian.apply: size mismatch";
+  let y = Array.make e.n 0.0 in
+  for k = 0 to Array.length e.eu - 1 do
+    let u = e.eu.(k) and v = e.ev.(k) and w = e.ew.(k) in
+    let d = x.(u) -. x.(v) in
+    y.(u) <- y.(u) +. (w *. d);
+    y.(v) <- y.(v) -. (w *. d)
+  done;
   y
+
+let apply g x = apply_edges (edges g) x
 
 let quadratic_form g x =
   let acc = ref 0.0 in

@@ -27,19 +27,23 @@ let jl_estimator rng g ~shift ~reps ?(tol = 1e-8) () =
      incidence block, one vertex-indexed Gaussian for the sqrt(shift) I
      block, then a single shifted-CG solve per probe. After the solves,
      every pair costs O(reps) — which is what lets the sparsifier's decode
-     loop scan all candidate pairs. *)
+     loop scan all candidate pairs. The graph is flattened once and every
+     probe's Gaussians and solve walk the same edge order. *)
+  let e = Laplacian.edges g in
   let z =
     Array.init reps (fun _ ->
         let y = Array.make n 0.0 in
-        Weighted_graph.iter_edges g (fun u v w ->
-            let g_e = Ds_util.Prng.gaussian rng *. sqrt w in
-            y.(u) <- y.(u) +. g_e;
-            y.(v) <- y.(v) -. g_e);
+        for k = 0 to Array.length e.Laplacian.eu - 1 do
+          let u = e.Laplacian.eu.(k) and v = e.Laplacian.ev.(k) in
+          let g_e = Ds_util.Prng.gaussian rng *. sqrt e.Laplacian.ew.(k) in
+          y.(u) <- y.(u) +. g_e;
+          y.(v) <- y.(v) -. g_e
+        done;
         let sq = sqrt shift in
         for i = 0 to n - 1 do
           y.(i) <- y.(i) +. (sq *. Ds_util.Prng.gaussian rng)
         done;
-        (Cg.solve_shifted g ~shift ~b:y ~tol ()).Cg.x)
+        (Cg.solve_shifted e ~shift ~b:y ~tol ()).Cg.x)
   in
   let inv_reps = 1.0 /. float_of_int reps in
   fun u v ->
