@@ -225,10 +225,10 @@ let write t sink =
   Wire.write_int sink t.n;
   Array.iter (Array.iter (fun s -> L0_sampler.write s sink)) t.samplers
 
-let read_into t src =
+let read_into ~mode t src =
   Wire.expect_tag src "agm";
   if Wire.read_int src <> t.n then failwith "Agm_sketch.read_into: size mismatch";
-  Array.iter (Array.iter (fun s -> L0_sampler.read_into s src)) t.samplers
+  Array.iter (Array.iter (fun s -> L0_sampler.read_into ~mode s src)) t.samplers
 
 module Linear = struct
   type nonrec t = t
@@ -345,7 +345,7 @@ module Copy = struct
       Array.fold_left (fun a sk -> a + L0_sampler.space_in_words sk) 0 s.row
 
     let write_body s sink = Array.iter (fun sk -> L0_sampler.write sk sink) s.row
-    let read_body s src = Array.iter (fun sk -> L0_sampler.read_into sk src) s.row
+    let read_body ~mode s src = Array.iter (fun sk -> L0_sampler.read_into ~mode sk src) s.row
   end
 
   let serialize ?trace s = Ds_sketch.Linear_sketch.serialize ?trace (module Linear) s

@@ -97,7 +97,7 @@ val spanning_forest : ?labels:int array -> ?copies:int array -> t -> (int * int)
 val space_in_words : t -> int
 
 val write : t -> Ds_util.Wire.sink -> unit
-val read_into : t -> Ds_util.Wire.source -> unit
+val read_into : mode:Ds_util.Words.mode -> t -> Ds_util.Wire.source -> unit
 (** Raw counter body (no envelope); building blocks for {!Linear}. *)
 
 module Linear : Ds_sketch.Linear_sketch.S with type t = t

@@ -81,8 +81,8 @@ module Linear = struct
     Agm_sketch.write t.base sink;
     Agm_sketch.write t.cover sink
 
-  let read_body t src =
+  let read_body ~mode t src =
     Ds_util.Wire.expect_tag src "bip";
-    Agm_sketch.read_into t.base src;
-    Agm_sketch.read_into t.cover src
+    Agm_sketch.read_into ~mode t.base src;
+    Agm_sketch.read_into ~mode t.cover src
 end

@@ -45,5 +45,5 @@ module Linear = struct
   let reset = reset
   let space_in_words = space_in_words
   let write_body t sink = Agm_sketch.write t.sketch sink
-  let read_body t src = Agm_sketch.read_into t.sketch src
+  let read_body ~mode t src = Agm_sketch.read_into ~mode t.sketch src
 end

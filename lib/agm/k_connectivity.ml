@@ -70,7 +70,7 @@ module Linear = struct
     Ds_util.Wire.write_tag sink "kc";
     Array.iter (fun s -> Agm_sketch.write s sink) t.sketches
 
-  let read_body t src =
+  let read_body ~mode t src =
     Ds_util.Wire.expect_tag src "kc";
-    Array.iter (fun s -> Agm_sketch.read_into s src) t.sketches
+    Array.iter (fun s -> Agm_sketch.read_into ~mode s src) t.sketches
 end

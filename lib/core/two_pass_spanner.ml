@@ -380,7 +380,7 @@ let load_pass1_result p1 data =
     else if read_params src <> p1.prm then Error (Header_mismatch { field = "params" })
     else if Wire.read_int src <> p1.levels then Error (Header_mismatch { field = "levels" })
     else
-      Ok (Array.iter (Array.iter (Array.iter (fun sk -> Sparse_recovery.read_into sk src))) p1.sketches)
+      Ok (Array.iter (Array.iter (Array.iter (fun sk -> Sparse_recovery.read_into ~mode:Words.Set sk src))) p1.sketches)
   in
   Result.map fst (Envelope.decode ~magic:checkpoint_magic ~error:of_envelope fields data)
 

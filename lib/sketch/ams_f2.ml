@@ -80,11 +80,11 @@ let write t sink =
     Words.write_wire_array sink t.counters ~pos:(r * t.prm.rows) ~len:t.prm.rows
   done
 
-let read_into t src =
+let read_into ~mode t src =
   Wire.expect_tag src "af2";
   if Wire.read_int src <> t.dim then failwith "Ams_f2.read_into: dimension mismatch";
   for r = 0 to t.prm.reps - 1 do
-    Words.read_wire_array ~what:"Ams_f2.read_into" src t.counters ~pos:(r * t.prm.rows)
+    Words.read_wire_array ~what:"Ams_f2.read_into" ~mode src t.counters ~pos:(r * t.prm.rows)
       ~len:t.prm.rows
   done
 

@@ -91,11 +91,11 @@ let write t sink =
     Words.write_wire_array sink t.table ~pos:(r * t.prm.cols) ~len:t.prm.cols
   done
 
-let read_into t src =
+let read_into ~mode t src =
   Wire.expect_tag src "cts";
   if Wire.read_int src <> t.dim then failwith "Count_sketch.read_into: dimension mismatch";
   for r = 0 to t.prm.rows - 1 do
-    Words.read_wire_array ~what:"Count_sketch.read_into" src t.table ~pos:(r * t.prm.cols)
+    Words.read_wire_array ~what:"Count_sketch.read_into" ~mode src t.table ~pos:(r * t.prm.cols)
       ~len:t.prm.cols
   done
 

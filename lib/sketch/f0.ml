@@ -118,11 +118,11 @@ let write t sink =
   Wire.write_int sink t.levels;
   Array.iter (fun r -> Array.iter (fun sk -> Sparse_recovery.write sk sink) r.sketches) t.instances
 
-let read_into t src =
+let read_into ~mode t src =
   Wire.expect_tag src "f0";
   if Wire.read_int src <> t.levels then failwith "F0.read_into: level mismatch";
   Array.iter
-    (fun r -> Array.iter (fun sk -> Sparse_recovery.read_into sk src) r.sketches)
+    (fun r -> Array.iter (fun sk -> Sparse_recovery.read_into ~mode sk src) r.sketches)
     t.instances
 
 module Linear = struct

@@ -46,7 +46,7 @@ val reset : t -> unit
 val space_in_words : t -> int
 
 val write : t -> Ds_util.Wire.sink -> unit
-val read_into : t -> Ds_util.Wire.source -> unit
+val read_into : mode:Ds_util.Words.mode -> t -> Ds_util.Wire.source -> unit
 (** @raise Failure on mismatch or truncation. *)
 
 module Linear : Linear_sketch.S with type t = t

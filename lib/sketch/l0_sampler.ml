@@ -180,10 +180,10 @@ let write t sink =
   Wire.write_int sink t.levels;
   Array.iter (fun sk -> Sparse_recovery.write sk sink) t.sketches
 
-let read_into t src =
+let read_into ~mode t src =
   Wire.expect_tag src "l0";
   if Wire.read_int src <> t.levels then failwith "L0_sampler.read_into: level mismatch";
-  Array.iter (fun sk -> Sparse_recovery.read_into sk src) t.sketches
+  Array.iter (fun sk -> Sparse_recovery.read_into ~mode sk src) t.sketches
 
 module Linear = struct
   type nonrec t = t

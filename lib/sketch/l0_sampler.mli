@@ -106,7 +106,7 @@ val compatible : t -> t -> bool
 val space_in_words : t -> int
 
 val write : t -> Ds_util.Wire.sink -> unit
-val read_into : t -> Ds_util.Wire.source -> unit
+val read_into : mode:Ds_util.Words.mode -> t -> Ds_util.Wire.source -> unit
 (** Counter (de)serialisation; see {!Ds_sketch.One_sparse.write}. *)
 
 module Linear : Linear_sketch.S with type t = t

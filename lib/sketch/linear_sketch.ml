@@ -13,7 +13,7 @@ module type S = sig
   val reset : t -> unit
   val space_in_words : t -> int
   val write_body : t -> Wire.sink -> unit
-  val read_body : t -> Wire.source -> unit
+  val read_body : mode:Words.mode -> t -> Wire.source -> unit
 end
 
 type 'a impl = (module S with type t = 'a)
@@ -69,18 +69,31 @@ let error_to_string = function
 
 let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
-let deserialize_result (type a) ((module L) : a impl) (t : a) data =
-  let tracing = Ds_obs.Trace.enabled () in
-  let t0 = if tracing then Ds_obs.Clock.now_ns () else 0L in
+(* Every check the envelope and the header make, then the family's body
+   parser storing per [mode]. *)
+let decode_body (type a) ((module L) : a impl) (t : a) ~mode data =
   let fields src =
     let family = Wire.read_tag src in
     if family <> L.family then Error (Wrong_family { expected = L.family; got = family })
     else
       let shape = Wire.read_array src in
       if shape <> L.shape t then Error (Shape_mismatch { expected = L.shape t; got = shape })
-      else Ok (L.read_body t src)
+      else Ok (L.read_body ~mode t src)
   in
-  match Envelope.decode ~magic ~error:of_envelope fields data with
+  Envelope.decode ~magic ~error:of_envelope fields data
+
+let decode_into impl t ~mode data =
+  let tracing = Ds_obs.Trace.enabled () in
+  let t0 = if tracing then Ds_obs.Clock.now_ns () else 0L in
+  (* An absorb first parses the whole message storing nothing, so a body
+     that is malformed anywhere (a forged one can pass the checksum) is
+     rejected before a single counter of [t] changes. *)
+  let decoded =
+    if mode = Words.Add then
+      Result.bind (decode_body impl t ~mode:Check data) (fun _ -> decode_body impl t ~mode data)
+    else decode_body impl t ~mode data
+  in
+  match decoded with
   | Ok ((), trace) ->
       Ds_obs.Metrics.incr m_dec_ok 1;
       (* The decode span parents under the *sender's* shipping span via
@@ -96,16 +109,14 @@ let deserialize_result (type a) ((module L) : a impl) (t : a) data =
       Ds_obs.Metrics.incr m_dec_err 1;
       e
 
+let deserialize_result impl t data = decode_into impl t ~mode:Set data
+
 let deserialize_into impl t data =
   match deserialize_result impl t data with
   | Ok () -> ()
   | Error e -> failwith ("Linear_sketch: " ^ error_to_string e)
 
-let absorb_result (type a) ((module L) as impl : a impl) (t : a) data =
-  let scratch = L.clone_zero t in
-  match deserialize_result impl scratch data with
-  | Ok () -> Ok (L.add t scratch)
-  | Error _ as e -> e
+let absorb_result impl t data = decode_into impl t ~mode:Add data
 
 let absorb impl t data =
   match absorb_result impl t data with

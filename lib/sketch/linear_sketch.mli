@@ -72,9 +72,13 @@ module type S = sig
   val write_body : t -> Ds_util.Wire.sink -> unit
   (** Append the counter body (no envelope). *)
 
-  val read_body : t -> Ds_util.Wire.source -> unit
-  (** Overwrite [t]'s counters from a body written by a shape-identical
-      sketch. @raise Failure on malformed input. *)
+  val read_body : mode:Ds_util.Words.mode -> t -> Ds_util.Wire.source -> unit
+  (** Parse a body written by a shape-identical sketch and store it into
+      [t]'s counters per [mode]: overwrite ([Set]), add in place ([Add];
+      Mersenne-field words add modulo the prime, as {!add} does) or store
+      nothing ([Check]). The parse itself must not depend on [mode], so a
+      body [Check] accepts is one [Add] accepts. @raise Failure on
+      malformed input. *)
 end
 
 type 'a impl = (module S with type t = 'a)
@@ -103,7 +107,8 @@ type error =
       (** same family, structurally incompatible parameters *)
   | Malformed_body of string
       (** the body failed to parse despite a valid checksum (forged or
-          writer bug); the destination may be partially overwritten *)
+          writer bug); a {!deserialize_result} destination may be partially
+          overwritten, an {!absorb_result} destination is untouched *)
   | Trailing_bytes of int
       (** the body did not consume the message (and what follows is not
           a well-formed trace-context extension) *)
@@ -125,10 +130,13 @@ val deserialize_into : 'a impl -> 'a -> string -> unit
 
 val absorb_result : 'a impl -> 'a -> string -> (unit, error) result
 (** [absorb_result impl t msg] adds a serialized compatible sketch into [t]
-    — the coordinator operation of the distributed setting: deserialize into
-    a zero clone, then [add]. On [Error], [t] is untouched (the zero clone
-    absorbs any partial parse), which is what lets a supervisor retry the
-    same destination. *)
+    — the coordinator operation of the distributed setting. It validates the
+    whole message first (checksum, header, and a body parse that stores
+    nothing), then parses the body again folding each counter into [t] in
+    place; no scratch sketch is allocated. The result equals deserializing
+    into a zero clone and calling [add]. On [Error], [t] is untouched, even
+    for a forged message whose checksum is valid, which is what lets a
+    supervisor retry the same destination. *)
 
 val absorb : 'a impl -> 'a -> string -> unit
 (** Raising wrapper for {!absorb_result}. @raise Failure as

@@ -99,26 +99,20 @@ let reset t =
 
 let space_in_words _ = 4
 
-let write_raw t sink =
+let write t sink =
+  Wire.write_tag sink "1sp";
+  Wire.write_int sink t.dim;
   Wire.write_int sink (c0 t);
   Wire.write_int sink (c1 t);
   Wire.write_int sink (c2 t)
 
-let read_raw t src =
-  set_c0 t (Wire.read_int src);
-  set_c1 t (Wire.read_int src);
-  set_c2 t (Wire.read_int src)
-
-let write t sink =
-  Wire.write_tag sink "1sp";
-  Wire.write_int sink t.dim;
-  write_raw t sink
-
-let read_into t src =
+let read_into ~mode t src =
   Wire.expect_tag src "1sp";
   let dim = Wire.read_int src in
   if dim <> t.dim then failwith "One_sparse.read_into: dimension mismatch";
-  read_raw t src
+  Words.put mode t.words t.off (Wire.read_int src);
+  Words.put mode t.words (t.off + 1) (Wire.read_int src);
+  Words.put_residue mode t.words (t.off + 2) (Wire.read_int src)
 
 module Linear = struct
   type nonrec t = t

@@ -90,16 +90,11 @@ val space_in_words : t -> int
 val write : t -> Ds_util.Wire.sink -> unit
 (** Serialise the counters (structure is seed-derived and not shipped). *)
 
-val read_into : t -> Ds_util.Wire.source -> unit
-(** Overwrite [t]'s counters with serialised ones. [t] must have been built
-    from the same seed/dimension as the writer; the dimension is checked.
+val read_into : mode:Ds_util.Words.mode -> t -> Ds_util.Wire.source -> unit
+(** Store serialised counters into [t] per [mode] ({!Ds_util.Words.mode}).
+    [t] must have been built from the same seed/dimension as the writer; the
+    dimension is checked.
     @raise Failure on tag/dimension mismatch or truncation. *)
-
-val write_raw : t -> Ds_util.Wire.sink -> unit
-(** The three counters only — no header. For containers that frame their
-    cells themselves (see {!Sparse_recovery.write}). *)
-
-val read_raw : t -> Ds_util.Wire.source -> unit
 
 module Linear : Linear_sketch.S with type t = t
 (** The universal interface: {!Linear_sketch.serialize} and friends over

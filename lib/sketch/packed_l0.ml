@@ -244,10 +244,10 @@ module Owned = struct
     Wire.write_int sink t.config.dim;
     Words.write_wire_array sink t.state ~pos:0 ~len:(Words.length t.state)
 
-  let read_into t src =
+  let read_into ~mode t src =
     Wire.expect_tag src "pl0";
     if Wire.read_int src <> t.config.dim then failwith "Packed_l0.read_into: dimension mismatch";
-    Words.read_wire_array ~what:"Packed_l0.read_into" src t.state ~pos:0
+    Words.read_wire_array ~what:"Packed_l0.read_into" ~mode src t.state ~pos:0
       ~len:(Words.length t.state)
 end
 

@@ -83,7 +83,7 @@ module Owned : sig
   val space_in_words : t -> int
   val write : t -> Ds_util.Wire.sink -> unit
 
-  val read_into : t -> Ds_util.Wire.source -> unit
+  val read_into : mode:Ds_util.Words.mode -> t -> Ds_util.Wire.source -> unit
   (** @raise Failure on mismatch or truncation. *)
 end
 

@@ -183,15 +183,15 @@ let write t sink =
     Words.write_wire_array sink t.words ~pos:(payload_off t r 0) ~len:(t.cap * t.payload_len)
   done
 
-let read_into t src =
+let read_into ~mode t src =
   Wire.expect_tag src "stb";
   if Wire.read_int src <> t.key_dim then failwith "Sketch_table.read_into: key_dim mismatch";
   let what = "Sketch_table.read_into" in
   for r = 0 to t.rows - 1 do
-    Words.read_wire_array ~what src t.words ~pos:(kc_off t r 0) ~len:t.cap;
-    Words.read_wire_array ~what src t.words ~pos:(ks_off t r 0) ~len:t.cap;
-    Words.read_wire_array ~what src t.words ~pos:(kf_off t r 0) ~len:t.cap;
-    Words.read_wire_array ~what src t.words ~pos:(payload_off t r 0) ~len:(t.cap * t.payload_len)
+    Words.read_wire_array ~what ~mode src t.words ~pos:(kc_off t r 0) ~len:t.cap;
+    Words.read_wire_array ~what ~mode src t.words ~pos:(ks_off t r 0) ~len:t.cap;
+    Words.read_wire_array ~what ~mode src t.words ~pos:(kf_off t r 0) ~len:t.cap;
+    Words.read_wire_array ~what ~mode src t.words ~pos:(payload_off t r 0) ~len:(t.cap * t.payload_len)
   done
 
 module Linear = struct

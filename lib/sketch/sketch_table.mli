@@ -60,7 +60,7 @@ val clone_zero : t -> t
 val copy : t -> t
 
 val write : t -> Ds_util.Wire.sink -> unit
-val read_into : t -> Ds_util.Wire.source -> unit
+val read_into : mode:Ds_util.Words.mode -> t -> Ds_util.Wire.source -> unit
 (** Counter (de)serialisation; see {!One_sparse.write}.
     @raise Failure on mismatch or truncation. *)
 

@@ -246,7 +246,7 @@ let write t sink =
      position arithmetic handles. *)
   ()
 
-let read_into t src =
+let read_into ~mode t src =
   Wire.expect_tag src "srec";
   if Wire.read_int src <> t.dim then failwith "Sparse_recovery.read_into: dimension mismatch";
   if Wire.read_int src <> t.prm.rows || Wire.read_int src <> t.cols then
@@ -257,13 +257,13 @@ let read_into t src =
   while !pos < total do
     let skip = Wire.read_int src in
     if skip < 0 || !pos + skip > total then failwith "Sparse_recovery.read_into: bad zero run";
-    if skip > 0 then Words.fill_range w ~pos:(3 * !pos) ~len:(3 * skip) 0;
+    if skip > 0 then Words.zero_range mode w ~pos:(3 * !pos) ~len:(3 * skip);
     pos := !pos + skip;
     if !pos < total then begin
       let o = 3 * !pos in
-      Words.unsafe_set w o (Wire.read_int src);
-      Words.unsafe_set w (o + 1) (Wire.read_int src);
-      Words.unsafe_set w (o + 2) (Wire.read_int src);
+      Words.put mode w o (Wire.read_int src);
+      Words.put mode w (o + 1) (Wire.read_int src);
+      Words.put_residue mode w (o + 2) (Wire.read_int src);
       incr pos
     end
   done

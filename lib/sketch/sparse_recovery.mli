@@ -114,8 +114,9 @@ val params : t -> params
 val write : t -> Ds_util.Wire.sink -> unit
 (** Serialise all cell counters (hashes are seed-derived, not shipped). *)
 
-val read_into : t -> Ds_util.Wire.source -> unit
-(** Overwrite [t]'s counters; [t] must share the writer's seed/shape.
+val read_into : mode:Ds_util.Words.mode -> t -> Ds_util.Wire.source -> unit
+(** Store a counter body into [t] per [mode] ({!Ds_util.Words.mode}); [t]
+    must share the writer's seed/shape.
     @raise Failure on mismatch or truncation. *)
 
 module Linear : Linear_sketch.S with type t = t

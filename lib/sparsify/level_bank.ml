@@ -129,12 +129,12 @@ let write_body t sink =
     done
   done
 
-let read_body t src =
+let read_body ~mode t src =
   Wire.expect_tag src "sp1b";
   if Wire.read_int src <> t.dim then failwith "Level_bank.read_body: dimension mismatch";
   for b = 0 to t.prm.banks - 1 do
     for l = 0 to t.prm.levels - 1 do
-      Words.read_wire_array ~what:"Level_bank.read_body" src t.words
+      Words.read_wire_array ~what:"Level_bank.read_body" ~mode src t.words
         ~pos:(((b * t.prm.levels) + l) * slot_words t.prm)
         ~len:(slot_words t.prm)
     done

@@ -178,14 +178,48 @@ let write_wire_array sink (t : t) ~pos ~len =
     Wire.write_int sink (unsafe_get t i)
   done
 
-let read_wire_array ~what src (t : t) ~pos ~len =
+(* How a reader stores what it parses. One parser per family serves
+   deserialize ([Set]), in-place absorb ([Add]) and the validation pass that
+   precedes it ([Check], which parses everything and writes nothing). *)
+type mode = Set | Add | Check
+
+let put mode (t : t) i v =
+  match mode with
+  | Set -> set t i v
+  | Add -> set t i (get t i + v)
+  | Check -> ()
+
+(* The [c2] word of a One_sparse triple: [Add] is the field addition of
+   [add_tri], so absorbing a body equals deserializing it and merging. *)
+let put_residue mode (t : t) i v =
+  match mode with
+  | Set -> set t i v
+  | Add ->
+      let c = get t i + v in
+      set t i (if c >= p then c - p else c)
+  | Check -> ()
+
+let zero_range mode t ~pos ~len =
+  match mode with Set -> fill_range t ~pos ~len 0 | Add | Check -> ()
+
+let read_wire_array ~what ~mode src (t : t) ~pos ~len =
   if pos < 0 || len < 0 || pos + len > length t then
     invalid_arg "Words.read_wire_array: range out of bounds";
   let n = Wire.read_int src in
   if n <> len then failwith (what ^ ": length mismatch");
-  for i = pos to pos + len - 1 do
-    unsafe_set t i (Wire.read_int src)
-  done
+  match mode with
+  | Set ->
+      for i = pos to pos + len - 1 do
+        unsafe_set t i (Wire.read_int src)
+      done
+  | Add ->
+      for i = pos to pos + len - 1 do
+        unsafe_set t i (unsafe_get t i + Wire.read_int src)
+      done
+  | Check ->
+      for _ = 1 to len do
+        ignore (Wire.read_int src)
+      done
 
 (* Raw little-endian image of the buffer: the mmap-friendly checkpoint
    form (not part of LSK1, which is pinned varint). *)

@@ -69,8 +69,27 @@ val write_wire_array : Wire.sink -> t -> pos:int -> len:int -> unit
     [Wire.write_array] over the same values (the pinned LSK1 body
     encoding), produced in one pass over the buffer. *)
 
-val read_wire_array : what:string -> Wire.source -> t -> pos:int -> len:int -> unit
-(** Inverse of {!write_wire_array} into an existing range.
+(** How a body reader stores what it parses: [Set] overwrites (deserialize),
+    [Add] adds into the existing counters (in-place absorb), [Check] parses
+    and writes nothing (validation before an [Add]). Because the parse does
+    not depend on the mode, a body that [Check] accepts is accepted by
+    [Add] too. *)
+type mode = Set | Add | Check
+
+val put : mode -> t -> int -> int -> unit
+(** [put mode t i v] stores a parsed plain word at [i]. *)
+
+val put_residue : mode -> t -> int -> int -> unit
+(** As {!put} for the Mersenne-field word of a One_sparse triple: [Add]
+    adds modulo [2^31 - 1] exactly as {!add_tri} does. *)
+
+val zero_range : mode -> t -> pos:int -> len:int -> unit
+(** A run of zero words on the wire: [Set] zero-fills it, [Add] and
+    [Check] leave it alone. *)
+
+val read_wire_array : what:string -> mode:mode -> Wire.source -> t -> pos:int -> len:int -> unit
+(** Inverse of {!write_wire_array} into an existing range, stored per
+    [mode] (plain words).
     @raise Failure ("[what]: length mismatch") when the stored length
     differs from [len]. *)
 

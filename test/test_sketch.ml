@@ -657,7 +657,7 @@ let test_wire_sparse_recovery () =
   check_bool "compact" true (String.length bytes < Sparse_recovery.space_in_words a);
   let b = mk () in
   Sparse_recovery.update b ~index:999 ~delta:7 (* stale state must be overwritten *);
-  Sparse_recovery.read_into b (Ds_util.Wire.source bytes);
+  Sparse_recovery.read_into ~mode:Words.Set b (Ds_util.Wire.source bytes);
   (match Sparse_recovery.decode b with
   | Some assoc ->
       Alcotest.(check (list (pair int int)))
@@ -675,7 +675,7 @@ let test_wire_l0_roundtrip () =
   let sink = Ds_util.Wire.sink () in
   L0_sampler.write a sink;
   let b = mk () in
-  L0_sampler.read_into b (Ds_util.Wire.source (Ds_util.Wire.contents sink));
+  L0_sampler.read_into ~mode:Words.Set b (Ds_util.Wire.source (Ds_util.Wire.contents sink));
   match L0_sampler.sample b with
   | Some (77, 2) -> ()
   | Some _ | None -> Alcotest.fail "sample after wire roundtrip"
