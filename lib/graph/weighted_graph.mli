@@ -19,10 +19,15 @@ val remove_edge : t -> int -> int -> unit
 val weight : t -> int -> int -> float option
 val mem_edge : t -> int -> int -> bool
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
+(** Each edge once, as [f u v w] with [u < v], in ascending [(u, v)]
+    order. *)
+
 val edges : t -> (int * int * float) list
 val num_edges : t -> int
 val degree : t -> int -> int
+
 val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
+(** [u]'s neighbours with their weights, in ascending vertex order. *)
 
 val of_edges : int -> (int * int * float) list -> t
 

@@ -438,14 +438,14 @@ let pinned_s1_cases =
       31,
       (fun rng -> Gen.gnp rng ~n:64 ~p:0.3),
       400,
-      "62f703b4c1c4ff89",
-      "74,156,304,488,553,578,592,592,592,591,591,591,591,593,593,593,593,593,593,592,593,592,593" );
+      "5d48113e2a2f1a66",
+      "74,153,299,454,557,581,590,591,593,592,593,591,593,593,591,593,592,593,592,593,593,593,593" );
     ( "complete n=96 seed 37",
       37,
       (fun _ -> Gen.complete 96),
       600,
-      "43848cd5ac051dec",
-      "579,710,1258,1749,2618,2770,3060,3257,3492,3464,3306,3441,3502,3393,3495,3364,3224,3556,3355,3449,3474,3451,3294,3502,3254"
+      "8a869f2a05519f3d",
+      "579,711,1161,1798,2603,3074,3008,3419,3293,3482,3405,3486,3240,3472,3448,3378,3496,3505,3460,3657,3402,3382,3375,3501,3340"
     );
   ]
 
@@ -461,7 +461,14 @@ let test_s1_pinned_output () =
       Alcotest.(check string)
         (name ^ " chain_sizes")
         sizes
-        (String.concat "," (Array.to_list (Array.map string_of_int r.S1.chain_sizes))))
+        (String.concat "," (Array.to_list (Array.map string_of_int r.S1.chain_sizes)));
+      let base = weighted_of_multigraph (Update.final_graph ~n stream) in
+      let b = Spectral.pencil_bounds ~base ~candidate:r.S1.sparsifier in
+      check_bool
+        (Printf.sprintf "%s pencil [%.3f, %.3f] within 1 +- eps" name b.Spectral.lambda_min
+           b.Spectral.lambda_max)
+        true
+        (b.Spectral.lambda_min >= 1.0 -. eps && b.Spectral.lambda_max <= 1.0 +. eps))
     pinned_s1_cases
 
 let () =
