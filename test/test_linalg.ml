@@ -192,38 +192,6 @@ let test_spectral_ratio_samples () =
   let cuts = Spectral.cut_ratio_samples rng ~base:g ~candidate:g ~samples:10 in
   Array.iter (fun r -> check_float "cut ratio 1" ~tol:1e-9 1.0 r) cuts
 
-(* -------------------- CSR -------------------- *)
-
-let test_csr_basics () =
-  let m = Csr.of_triplets ~rows:3 ~cols:3 [ (0, 1, 2.0); (1, 0, 2.0); (2, 2, 5.0); (0, 1, 1.0) ] in
-  check_float "duplicates summed" 3.0 (Csr.get m 0 1);
-  check_float "absent is zero" 0.0 (Csr.get m 0 2);
-  check_bool "nnz" true (Csr.nnz m = 3);
-  let y = Csr.mul_vec m [| 1.0; 1.0; 1.0 |] in
-  check_float "row0" 3.0 y.(0);
-  check_float "row1" 2.0 y.(1);
-  check_float "row2" 5.0 y.(2)
-
-let test_csr_matches_dense_laplacian () =
-  let g = Weighted_graph.of_graph (Gen.connected_gnp (Prng.create 35) ~n:25 ~p:0.2) in
-  let sp = Csr.of_laplacian g in
-  let dn = Laplacian.dense g in
-  check_bool "csr equals dense" true
-    (Matrix.frobenius (Matrix.sub (Csr.to_dense sp) dn) < 1e-12);
-  let rng = Prng.create 36 in
-  for _ = 1 to 5 do
-    let x = Vec.random_unit rng 25 in
-    let a = Csr.mul_vec sp x and b = Matrix.mul_vec dn x in
-    check_bool "spmv matches" true (Vec.norm (Vec.sub a b) < 1e-10)
-  done
-
-let test_csr_transpose () =
-  let m = Csr.of_triplets ~rows:2 ~cols:3 [ (0, 2, 7.0); (1, 0, -1.0) ] in
-  let mt = Csr.transpose m in
-  check_float "transposed entry" 7.0 (Csr.get mt 2 0);
-  check_float "transposed entry 2" (-1.0) (Csr.get mt 0 1);
-  check_bool "shape" true (Csr.rows mt = 3 && Csr.cols mt = 2)
-
 let prop_resistance_bounded_by_distance =
   QCheck.Test.make ~name:"R_uv <= d(u,v) on unit-weight graphs (Rayleigh)" ~count:25
     QCheck.small_nat
@@ -270,12 +238,6 @@ let () =
           Alcotest.test_case "parallel" `Quick test_resistance_parallel;
           Alcotest.test_case "disconnected" `Quick test_resistance_disconnected;
           Alcotest.test_case "foster" `Quick test_foster;
-        ] );
-      ( "csr",
-        [
-          Alcotest.test_case "basics" `Quick test_csr_basics;
-          Alcotest.test_case "matches dense laplacian" `Quick test_csr_matches_dense_laplacian;
-          Alcotest.test_case "transpose" `Quick test_csr_transpose;
         ] );
       ( "spectral",
         [

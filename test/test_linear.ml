@@ -483,13 +483,12 @@ let () =
       ("family stamp", per_family test_family_stamped);
       ("truncation", per_family test_truncation_detected);
       ("bit flips", per_family test_bitflip_detected);
-      ("forged absorb leaves destination", per_family test_forged_absorb_untouched);
+      ("forged absorb", per_family test_forged_absorb_untouched);
       ( "cross-family & shape",
         [
           Alcotest.test_case "cross-family rejected" `Quick test_cross_family_rejected;
           Alcotest.test_case "wrong shape rejected" `Quick test_wrong_shape_rejected;
-          Alcotest.test_case "forged window length leaves destination" `Quick
-            test_forged_window_length;
+          Alcotest.test_case "forged window length" `Quick test_forged_window_length;
         ] );
       ("properties", qcheck_cases);
       ("words kernels", kernel_cases);

@@ -471,6 +471,29 @@ let test_s1_pinned_output () =
         (b.Spectral.lambda_min >= 1.0 -. eps && b.Spectral.lambda_max <= 1.0 +. eps))
     pinned_s1_cases
 
+let test_s1_compresses_dense () =
+  (* At n = 256 and eps 0.5, n log n / eps^2 (8192) is well below |E|
+     (32640), so the chain must return fewer edges than its input; the exact
+     pencil stays the judge of quality. At n = 64 the chain saturates and
+     returns its input, so only a case this dense can fail on size. *)
+  let n = 256 and eps = 0.5 in
+  let rng = Prng.create 43 in
+  let stream = Stream_gen.with_churn (Prng.split rng) ~decoys:4000 (Gen.complete n) in
+  let base = weighted_of_multigraph (Update.final_graph ~n stream) in
+  let r = S1.run (Prng.split rng) ~n ~params:(S1.default_params ~n ~eps) ~eps stream in
+  let edges_in = Weighted_graph.num_edges base in
+  let edges_out = Weighted_graph.num_edges r.S1.sparsifier in
+  check_bool
+    (Printf.sprintf "%d of %d edges kept (ratio %.3f)" edges_out edges_in
+       (float_of_int edges_out /. float_of_int edges_in))
+    true (edges_out < edges_in);
+  let b = Spectral.pencil_bounds ~base ~candidate:r.S1.sparsifier in
+  check_bool
+    (Printf.sprintf "pencil [%.3f, %.3f] within 1 +- eps" b.Spectral.lambda_min
+       b.Spectral.lambda_max)
+    true
+    (b.Spectral.lambda_min >= 1.0 -. eps && b.Spectral.lambda_max <= 1.0 +. eps)
+
 let () =
   Alcotest.run "sparsifier"
     [
@@ -511,9 +534,10 @@ let () =
           Alcotest.test_case "empty stream" `Quick test_s1_empty_stream;
           Alcotest.test_case "state roundtrip decodes identically" `Slow
             test_s1_state_roundtrip_decodes_identically;
-          Alcotest.test_case "pinned output" `Slow test_s1_pinned_output;
           QCheck_alcotest.to_alcotest prop_s1_pencil;
           QCheck_alcotest.to_alcotest prop_s1_serialize_merge_commutes;
           QCheck_alcotest.to_alcotest prop_s1_size_vs_two_pass;
+          Alcotest.test_case "pinned output" `Slow test_s1_pinned_output;
+          Alcotest.test_case "compresses K_256" `Slow test_s1_compresses_dense;
         ] );
     ]
