@@ -8,7 +8,7 @@ let solve_shifted (e : Laplacian.edges) ~shift ~b ?(tol = 1e-9) ?(max_iter = 0) 
   (* [L + shift I] is positive definite (no kernel, connected or not), so
      this is textbook CG: no ones-projection anywhere. *)
   let apply v =
-    let lv = Laplacian.apply_edges e v in
+    let lv = Laplacian.apply e v in
     for i = 0 to n - 1 do
       lv.(i) <- lv.(i) +. (shift *. v.(i))
     done;
@@ -51,7 +51,7 @@ let solve g ~b ?(tol = 1e-9) ?(max_iter = 0) () =
   let iters = ref 0 in
   while sqrt !rs /. bnorm > tol && !iters < max_iter do
     incr iters;
-    let lp = Laplacian.apply_edges e p in
+    let lp = Laplacian.apply e p in
     let denom = Vec.dot p lp in
     if denom <= 0.0 then
       (* Hit the kernel (disconnected graph or numerical trouble): stop. *)
@@ -71,5 +71,5 @@ let solve g ~b ?(tol = 1e-9) ?(max_iter = 0) () =
     end
   done;
   Vec.project_off_ones x;
-  let residual = Vec.norm (Vec.sub (Laplacian.apply_edges e x) b) /. bnorm in
+  let residual = Vec.norm (Vec.sub (Laplacian.apply e x) b) /. bnorm in
   { x; iterations = !iters; residual }

@@ -23,7 +23,7 @@ let edges g =
       incr k);
   { n = Weighted_graph.n g; eu; ev; ew }
 
-let apply_edges e x =
+let apply e x =
   if Array.length x <> e.n then invalid_arg "Laplacian.apply: size mismatch";
   let y = Array.make e.n 0.0 in
   for k = 0 to Array.length e.eu - 1 do
@@ -33,8 +33,6 @@ let apply_edges e x =
     y.(v) <- y.(v) -. (w *. d)
   done;
   y
-
-let apply g x = apply_edges (edges g) x
 
 let quadratic_form g x =
   let acc = ref 0.0 in

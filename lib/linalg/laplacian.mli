@@ -11,14 +11,11 @@ type edges = private { n : int; eu : int array; ev : int array; ew : float array
 
 val edges : Ds_graph.Weighted_graph.t -> edges
 
-val apply_edges : edges -> float array -> float array
+val apply : edges -> float array -> float array
 (** [L x] in O(m) without materialising [L]. Sums in edge order, so the
     result is bit-identical for every graph flattened to the same arrays.
     @raise Invalid_argument when [x]'s length differs from the vertex
     count. *)
-
-val apply : Ds_graph.Weighted_graph.t -> float array -> float array
-(** [apply_edges (edges g)]. *)
 
 val quadratic_form : Ds_graph.Weighted_graph.t -> float array -> float
 (** [x^T L x = sum_e w_e (x_u - x_v)^2], computed edge-wise (exact,
