@@ -70,31 +70,29 @@ let error_to_string = function
 let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
 (* Every check the envelope and the header make, then the family's body
-   parser storing per [mode]. *)
-let decode_body (type a) ((module L) : a impl) (t : a) ~mode data =
+   parser storing per [mode]. An absorb first parses the whole body storing
+   nothing, so a message that is malformed anywhere (a forged one can pass
+   the checksum) is rejected before a single counter of [t] changes; only
+   once the envelope has accepted it is the body parsed again, adding in
+   place. *)
+let decode_into (type a) ((module L) : a impl) (t : a) ~mode data =
+  let tracing = Ds_obs.Trace.enabled () in
+  let t0 = if tracing then Ds_obs.Clock.now_ns () else 0L in
   let fields src =
     let family = Wire.read_tag src in
     if family <> L.family then Error (Wrong_family { expected = L.family; got = family })
     else
       let shape = Wire.read_array src in
       if shape <> L.shape t then Error (Shape_mismatch { expected = L.shape t; got = shape })
-      else Ok (L.read_body ~mode t src)
+      else begin
+        let body = Wire.fork src in
+        L.read_body ~mode:(if mode = Words.Add then Check else mode) t src;
+        Ok body
+      end
   in
-  Envelope.decode ~magic ~error:of_envelope fields data
-
-let decode_into impl t ~mode data =
-  let tracing = Ds_obs.Trace.enabled () in
-  let t0 = if tracing then Ds_obs.Clock.now_ns () else 0L in
-  (* An absorb first parses the whole message storing nothing, so a body
-     that is malformed anywhere (a forged one can pass the checksum) is
-     rejected before a single counter of [t] changes. *)
-  let decoded =
-    if mode = Words.Add then
-      Result.bind (decode_body impl t ~mode:Check data) (fun _ -> decode_body impl t ~mode data)
-    else decode_body impl t ~mode data
-  in
-  match decoded with
-  | Ok ((), trace) ->
+  match Envelope.decode ~magic ~error:of_envelope fields data with
+  | Ok (body, trace) ->
+      if mode = Add then L.read_body ~mode t body;
       Ds_obs.Metrics.incr m_dec_ok 1;
       (* The decode span parents under the *sender's* shipping span via
          the carried context, linking the receiving process into the

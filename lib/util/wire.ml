@@ -25,21 +25,38 @@ let write_int buf v =
   in
   go z
 
-let read_byte s =
-  if s.pos >= s.limit then failwith "Wire: truncated input";
-  let b = Char.code s.data.[s.pos] in
-  s.pos <- s.pos + 1;
-  b
-
+(* A varint may take at most 9 bytes: a 10th would shift past bit 62. *)
 let read_int s =
-  let rec go shift acc =
-    if shift > 62 then failwith "Wire: varint too long";
-    let b = read_byte s in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  let z = go 0 0 in
-  (z lsr 1) lxor (-(z land 1))
+  let data = s.data and limit = s.limit in
+  let pos = ref s.pos and shift = ref 0 and z = ref 0 and more = ref true in
+  while !more do
+    if !shift > 62 then failwith "Wire: varint too long";
+    if !pos >= limit then failwith "Wire: truncated input";
+    let b = Char.code (String.unsafe_get data !pos) in
+    incr pos;
+    z := !z lor ((b land 0x7f) lsl !shift);
+    if b land 0x80 = 0 then more := false else shift := !shift + 7
+  done;
+  s.pos <- !pos;
+  (!z lsr 1) lxor (-(!z land 1))
+
+let skip_ints s n =
+  let data = s.data and limit = s.limit in
+  let pos = ref s.pos in
+  for _ = 1 to n do
+    let start = !pos in
+    while
+      if !pos >= limit then failwith "Wire: truncated input";
+      Char.code (String.unsafe_get data !pos) land 0x80 <> 0
+    do
+      incr pos;
+      if !pos - start >= 9 then failwith "Wire: varint too long"
+    done;
+    incr pos
+  done;
+  s.pos <- !pos
+
+let fork s = { s with pos = s.pos }
 
 let write_array buf a =
   write_int buf (Array.length a);

@@ -26,6 +26,15 @@ val write_int : sink -> int -> unit
 val read_int : source -> int
 (** @raise Failure on truncated input. *)
 
+val skip_ints : source -> int -> unit
+(** [skip_ints src n] moves past [n] varints without decoding them. It
+    fails exactly where [n] calls of {!read_int} would.
+    @raise Failure on truncated input or an over-long varint. *)
+
+val fork : source -> source
+(** An independent cursor over the same bytes at the same position; the
+    bytes are not copied. *)
+
 val write_array : sink -> int array -> unit
 val read_array : source -> int array
 

@@ -207,19 +207,11 @@ let read_wire_array ~what ~mode src (t : t) ~pos ~len =
     invalid_arg "Words.read_wire_array: range out of bounds";
   let n = Wire.read_int src in
   if n <> len then failwith (what ^ ": length mismatch");
-  match mode with
-  | Set ->
-      for i = pos to pos + len - 1 do
-        unsafe_set t i (Wire.read_int src)
-      done
-  | Add ->
-      for i = pos to pos + len - 1 do
-        unsafe_set t i (unsafe_get t i + Wire.read_int src)
-      done
-  | Check ->
-      for _ = 1 to len do
-        ignore (Wire.read_int src)
-      done
+  if mode = Check then Wire.skip_ints src len
+  else
+    for i = pos to pos + len - 1 do
+      put mode t i (Wire.read_int src)
+    done
 
 (* Raw little-endian image of the buffer: the mmap-friendly checkpoint
    form (not part of LSK1, which is pinned varint). *)

@@ -224,6 +224,28 @@ let prop_wire_roundtrip =
       let src = Wire.source (Wire.contents s) in
       Wire.read_array src = a && Wire.remaining src = 0)
 
+(* The validation pass of an in-place absorb skips counters instead of
+   decoding them, so it must accept and reject exactly what decoding does:
+   bytes with mostly continuation bits set exercise over-long varints and
+   truncation. *)
+let prop_skip_ints_matches_read_int =
+  let byte = QCheck.Gen.(map Char.chr (frequency [ (3, int_range 0 127); (7, int_range 128 255) ])) in
+  QCheck.Test.make ~name:"skip_ints fails exactly where read_int does" ~count:500
+    QCheck.(
+      pair (make ~print:String.escaped QCheck.Gen.(string_size ~gen:byte (int_range 0 40))) (int_range 0 10))
+    (fun (data, n) ->
+      let outcome f =
+        let src = Wire.source data in
+        match f src with
+        | () -> Ok (Wire.remaining src)
+        | exception Failure m -> Error m
+      in
+      outcome (fun src -> Wire.skip_ints src n)
+      = outcome (fun src ->
+            for _ = 1 to n do
+              ignore (Wire.read_int src)
+            done))
+
 (* -------------------- Space -------------------- *)
 
 let test_space () =
@@ -288,6 +310,7 @@ let () =
           Alcotest.test_case "truncation" `Quick test_wire_truncation;
           Alcotest.test_case "compact zeros" `Quick test_wire_compact;
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+          QCheck_alcotest.to_alcotest prop_skip_ints_matches_read_int;
         ] );
       ( "space",
         [
